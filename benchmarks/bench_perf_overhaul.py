@@ -60,10 +60,7 @@ gates against the committed ``benchmarks/BENCH_baseline.json``.
 
 from __future__ import annotations
 
-import json
-import platform
 import time
-from pathlib import Path
 
 import pytest
 
@@ -128,7 +125,6 @@ IVM_INSERT_TARGET_GEOMEAN = 5.0
 SNAPSHOT_CHUNKED_TC_TARGET = 2.0
 SNAPSHOT_COLD_REACH_SECONDS = 10.0
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS: dict[str, dict] = {}
 
 
@@ -159,47 +155,32 @@ def _record(name: str, seed_seconds: float, optimized_seconds: float,
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(request):
+def _write_bench_json(request, trajectory):
     """After the module's tests, merge the new trajectory points into
-    ``BENCH_perf.json`` (existing entries for other workloads survive a
-    partial run).  Smoke runs measure shrunken sizes with no assertions, so
-    they never overwrite the vetted full-size points — they write
-    ``BENCH_smoke.json`` instead, which the CI perf gate
-    (``benchmarks/check_trajectory.py``) compares against the committed
-    smoke baseline."""
+    ``BENCH_perf.json`` (``BENCH_smoke.json`` under ``--smoke``); existing
+    entries for other workloads survive a partial run."""
     yield
     if not RESULTS:
         return
-    smoke = bool(request.config.getoption("--smoke"))
-    path = REPO_ROOT / ("BENCH_smoke.json" if smoke else "BENCH_perf.json")
-    payload = {
-        "schema": "repro-perf-trajectory/v1",
-        "experiment": "P0 perf overhaul + P1 compiled engine + P2 semi-naive"
-                      " + P3 relational planner + P4 plan optimizer"
-                      " + P7 columnar backend"
-                      " + P8 incremental maintenance"
-                      " + P9 out-of-core snapshots"
-                      + (" (smoke sizes)" if smoke else ""),
-        "python": platform.python_version(),
-        "target_speedup": TARGET_SPEEDUP,
-        "compiled_target_speedup": COMPILED_TARGET_SPEEDUP,
-        "seminaive_target_speedup": SEMINAIVE_TARGET_SPEEDUP,
-        "plan_target_speedup": PLAN_TARGET_SPEEDUP,
-        "optimizer_target_geomean": OPTIMIZER_TARGET_GEOMEAN,
-        "columnar_target_geomean": COLUMNAR_TARGET_GEOMEAN,
-        "ivm_tc_insert_target": IVM_TC_INSERT_TARGET,
-        "ivm_insert_target_geomean": IVM_INSERT_TARGET_GEOMEAN,
-        "snapshot_chunked_tc_target": SNAPSHOT_CHUNKED_TC_TARGET,
-        "snapshot_cold_reach_seconds": SNAPSHOT_COLD_REACH_SECONDS,
-        "entries": {},
-    }
-    if not smoke and path.exists():
-        try:
-            payload["entries"] = json.loads(path.read_text()).get("entries", {})
-        except (ValueError, OSError):
-            pass
-    payload["entries"].update(RESULTS)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    trajectory(
+        RESULTS,
+        "P0 perf overhaul + P1 compiled engine + P2 semi-naive"
+        " + P3 relational planner + P4 plan optimizer"
+        " + P7 columnar backend + P8 incremental maintenance"
+        " + P9 out-of-core snapshots",
+        smoke=bool(request.config.getoption("--smoke")),
+        header={
+            "target_speedup": TARGET_SPEEDUP,
+            "compiled_target_speedup": COMPILED_TARGET_SPEEDUP,
+            "seminaive_target_speedup": SEMINAIVE_TARGET_SPEEDUP,
+            "plan_target_speedup": PLAN_TARGET_SPEEDUP,
+            "optimizer_target_geomean": OPTIMIZER_TARGET_GEOMEAN,
+            "columnar_target_geomean": COLUMNAR_TARGET_GEOMEAN,
+            "ivm_tc_insert_target": IVM_TC_INSERT_TARGET,
+            "ivm_insert_target_geomean": IVM_INSERT_TARGET_GEOMEAN,
+            "snapshot_chunked_tc_target": SNAPSHOT_CHUNKED_TC_TARGET,
+            "snapshot_cold_reach_seconds": SNAPSHOT_COLD_REACH_SECONDS,
+        })
 
 
 # ----------------------------------------------------------- workloads
@@ -933,7 +914,7 @@ def test_ivm_vs_recompute_p8(table, smoke):
 
 def _forced_chunked(callable_):
     """Run ``callable_`` with the dense width threshold dropped to 2, so
-    the chunked interpreter handles universes the dense codegen would
+    the wide (CSR) representation handles universes the dense one would
     otherwise take (the ratio legs compare backends at equal, modest n)."""
     import repro.logic.codegen as codegen
 
@@ -949,7 +930,7 @@ def test_snapshot_closure_p9(table, smoke, tmp_path):
     """The P9 acceptance gates.
 
     * ``snapshot_chunked_tc`` — full transitive closure on a clustered
-      graph, chunked CSR interpreter vs the set-at-a-time plan backend at
+      graph, columnar on CSR payloads vs the set-at-a-time plan backend at
       equal n (the closure here is ~n^2/2 rows, so the ratio leg stays at
       modest cluster counts where the plan backend finishes at all).
     * ``snapshot_tc_1e6`` — the out-of-core leg: stream a clustered graph

@@ -26,14 +26,11 @@ Results merge into ``BENCH_perf.json`` (or ``BENCH_smoke.json`` under
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -42,7 +39,6 @@ from repro.logic.queries import CANONICAL_QUERIES
 from repro.service.server import QueryService, ServiceConfig
 from repro.structures import random_alternating_graph, save_snapshot
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS: dict[str, dict] = {}
 
 #: Client levels the load generator drives (the acceptance floor is two).
@@ -243,35 +239,11 @@ def test_chaos_schedule_availability_gate(workload, table, smoke):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _write_bench_json(request):
-    """Merge the service datapoints into the trajectory file.  Both modes
-    *merge* (read-update-write): the smoke file is shared with the other
-    benchmark modules inside one CI run, and the vetted ``BENCH_perf``
-    entries for other workloads must survive a partial run."""
+def _write_bench_json(request, trajectory):
+    """Merge the service datapoints into the trajectory file, beside the
+    other experiments' entries (the smoke file is shared with the other
+    benchmark modules inside one CI run)."""
     yield
-    if not RESULTS:
-        return
-    smoke = bool(request.config.getoption("--smoke"))
-    path = REPO_ROOT / ("BENCH_smoke.json" if smoke else "BENCH_perf.json")
-    payload = {
-        "schema": "repro-perf-trajectory/v1",
-        "experiment": "P10 query service"
-                      + (" (smoke sizes)" if smoke else ""),
-        "python": platform.python_version(),
-        "entries": {},
-    }
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text())
-            payload["entries"] = existing.get("entries", {})
-            # Keep the richer header of a combined run.
-            for key, value in existing.items():
-                if key not in ("entries", "experiment"):
-                    payload.setdefault(key, value)
-            if existing.get("experiment"):
-                payload["experiment"] = (existing["experiment"]
-                                         + " + P10 query service")
-        except (ValueError, OSError):
-            pass
-    payload["entries"].update(RESULTS)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    if RESULTS:
+        trajectory(RESULTS, "P10 query service",
+                   smoke=bool(request.config.getoption("--smoke")))

@@ -15,7 +15,7 @@ operation.  Over the canonical dense universe ``{0, ..., n-1}`` (see
   where composing two relations is ``n`` bitwise ORs instead of a hash
   join.  Either form is derived from the other on demand.
 * **arity ≥ 3** (and arity 0) — the tuple-set fallback: a plain set of
-  tuples, the representation of last resort the plan codegen degrades to.
+  tuples, the representation of last resort the plan walker degrades to.
 
 :class:`ColumnarRelation` carries one relation in whichever representation
 its arity picked, with the operator surface the plan executor needs
@@ -23,8 +23,8 @@ its arity picked, with the operator surface the plan executor needs
 masks / union / difference as bitwise or / and-not / transitive closure as
 frontier BFS with a visited bitset).  The module-level kernels operate on
 the *raw* payloads (ints, lists of ints, sets) — they are what the
-per-plan code generator (:mod:`repro.logic.codegen`) emits calls to, so
-the boxed class never appears on the hot path.
+columnar plan walker (:mod:`repro.logic.codegen`) composes into per-node
+kernels, so the boxed class never appears on the hot path.
 
 **Big universes.**  The bitmask-row encoding is dense: one Python int per
 source whose size is O(highest set bit / 8) bytes, so a sparse relation
@@ -33,8 +33,9 @@ over ``n`` elements still costs up to ``n**2 / 8`` bytes.  Above
 arity-2 payloads become machine-word CSR pairs (``array('q')`` offsets +
 ``array('i')`` targets, memory O(rows)), closure runs over the SCC
 condensation with memory O(output), and single-source reachability is a
-plain frontier BFS with a byte-per-node visited array.  These are what
-the big-n plan interpreter (:mod:`repro.logic.chunked`) calls.
+plain frontier BFS with a byte-per-node visited array.  The same plan
+walker calls them through its wide arity-2 representation
+(:mod:`repro.logic.chunked`).
 """
 
 from __future__ import annotations
@@ -417,13 +418,17 @@ def _closure_functional(adjacency: list[int], n: int) -> list[int]:
 # :func:`reach_from` BFS over the post-delete adjacency.
 
 
-def reach_from(adjacency: list[int], source: int) -> int:
+def reach_from(adjacency: list[int], source: int, governor=None) -> int:
     """The *reflexive* reach bitset of one ``source`` over bitmask-row
-    adjacency — the per-source re-derivation kernel of DRed deletion."""
+    adjacency — the per-source re-derivation kernel of DRed deletion, and
+    the pinned-endpoint BFS of the plan walker (one ``governor`` round per
+    wave)."""
     seen = 1 << source
     frontier = adjacency[source] & ~seen
     table = _BYTE_OFFSETS
     while frontier:
+        if governor is not None:
+            governor.note_round()
         seen |= frontier
         step = 0
         data = frontier.to_bytes((frontier.bit_length() + 7) >> 3, "little")
@@ -526,7 +531,7 @@ def csr_of_pairs(sources: Sequence[int], targets: Sequence[int], n: int
 
 def csr_of_sparse(rows: dict, n: int) -> tuple[array, array]:
     """CSR from a sparse ``{source: set-of-targets}`` dict (the working
-    form the chunked plan interpreter mutates)."""
+    form the wide arity-2 representation builds)."""
     offsets = array("q", bytes(8 * (n + 1)))
     targets = array("i")
     for source in range(n):
@@ -796,7 +801,7 @@ class ColumnarRelation:
     ``kind`` is ``"bitset"`` (arity 1), ``"csr"`` (arity 2) or ``"tuples"``
     (arity 0 and arity ≥ 3 — the fallback representation).  The class is
     the *boundary* form: conversions in and out, the operator surface for
-    direct use and tests.  The plan code generator works on the raw
+    direct use and tests.  The plan walker works on the raw
     payloads (:attr:`bits` / :attr:`row_bits` / :attr:`rows`) through the
     module kernels instead.
     """
@@ -1000,8 +1005,8 @@ class ColumnarRelation:
         return self.project(permutation)
 
     def select(self, predicate: Callable[[tuple], bool]) -> "ColumnarRelation":
-        """The rows satisfying ``predicate`` (generic path; the codegen
-        compiles comparison selections to masks instead)."""
+        """The rows satisfying ``predicate`` (generic path; the plan
+        walker resolves comparison selections to masks instead)."""
         return ColumnarRelation.from_rows(
             {row for row in self.to_rows() if predicate(row)},
             self.arity, self.n)

@@ -226,7 +226,7 @@ class Session:
         tuple-at-a-time enumeration as the differential oracle — the same
         production/oracle split as :attr:`seminaive`.  The constructor's
         ``logic_backend`` argument overrides the derivation (e.g.
-        ``"columnar"`` for the bitset/CSR codegen backend of
+        ``"columnar"`` for the bitset/CSR plan walker of
         :mod:`repro.logic.codegen`).
         """
         if self._logic_backend_override is not None:

@@ -86,8 +86,8 @@ __all__ = ["LOGIC_BACKENDS", "ModelChecker", "evaluate", "define_relation"]
 
 #: The logic layer's interchangeable evaluation strategies: ``plan``
 #: compiles formulas to set-at-a-time relational-algebra plans
-#: (:mod:`repro.logic.compile`); ``columnar`` additionally lowers each
-#: plan to a specialized Python closure over bitset/CSR kernels
+#: (:mod:`repro.logic.compile`); ``columnar`` additionally runs each
+#: plan on the columnar walker over bitset/CSR kernels
 #: (:mod:`repro.logic.codegen`), falling back to the plan interpreter on
 #: any columnar-side failure; ``tuple`` is the tuple-at-a-time
 #: enumeration below, kept as the differential oracle.
@@ -108,10 +108,10 @@ def _plan_rows(formula: Formula, layout: tuple[str, ...] | None,
                columnar_for=None) -> tuple[tuple[str, ...], frozenset]:
     """Execute ``formula`` set-at-a-time down the degradation ladder.
 
-    Rung zero (``columnar`` backend only): compile the best available
-    plan (optimized, else raw) to a specialized columnar closure and run
-    it; any failure — an unsupported shape, a universe past the dense-int
-    cost gate, an injected fault — records a
+    Rung zero (``columnar`` backend only): run the best available plan
+    (optimized, else raw) on the columnar walker; any failure — an
+    unsupported shape, a universe past the columnar cost gate, an
+    injected fault — records a
     :class:`DegradationEvent("columnar", "plan")` and drops to the
     interpreted rungs.  Rung one: the optimized plan.  Any failure
     *optimizing* — a rewrite crash, an injected fault, or a budget blown
@@ -193,8 +193,8 @@ class ModelChecker:
     ``"plan"``, which compiles each formula once to a set-at-a-time
     relational-algebra plan (:mod:`repro.logic.compile`), executes it
     over the whole structure, and answers every assignment with a row
-    lookup; or ``"columnar"``, which additionally lowers each plan to a
-    specialized closure over bitset/CSR kernels
+    lookup; or ``"columnar"``, which additionally runs each plan on the
+    columnar walker over bitset/CSR kernels
     (:mod:`repro.logic.codegen`) and degrades to the plan interpreter on
     any columnar-side failure.  The Session facade picks ``plan`` for
     its production backends (see
@@ -841,7 +841,7 @@ def define_relation(formula: Formula, structure: Structure,
     optimizer against the structure's statistics (unless
     ``optimize=False``, the optimizer's differential oracle), and executed
     set-at-a-time — no per-row enumeration at all.  ``backend="columnar"``
-    further lowers the plan to a specialized bitset/CSR closure
+    further runs the plan on the columnar bitset/CSR walker
     (:mod:`repro.logic.codegen`), degrading to the plan interpreter on
     any columnar-side failure.  ``stats`` optionally receives the
     execution's :class:`~repro.logic.plan.PlanStats` counters.

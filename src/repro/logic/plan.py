@@ -120,8 +120,8 @@ class PlanStats:
       O(Δ) evidence: on a delta-rewritten body each entry is bounded by the
       frontier, not the accumulated relation).
     * ``shared_hits`` — :class:`Shared` executions answered from the memo.
-    * ``codegen_cache_hits`` — columnar plans answered from the compiled-
-      closure cache instead of re-running codegen (see
+    * ``codegen_cache_hits`` — columnar plans whose per-node kernels came
+      from the compiled-plan cache instead of being resolved again (see
       :mod:`repro.logic.codegen`).
     * ``peak_rows_resident`` — the largest number of rows simultaneously
       live in one kernel's working set (frontier + accumulated result for

@@ -220,6 +220,8 @@ class WorkerPool:
         self._respawn_wakeup = threading.Condition()
         self._draining = False
         self._supervisor: threading.Thread | None = None
+        #: Request and failure counters, updated and read under ``_lock``
+        #: (request threads and the supervisor bump them concurrently).
         self.stats = {"requests": 0, "retries": 0, "worker_deaths": 0,
                       "crashed_replies": 0}
 
@@ -287,6 +289,7 @@ class WorkerPool:
                 name: {"deaths": breaker.deaths,
                        "tripped": breaker.tripped_at is not None}
                 for name, breaker in self._breakers.items()}
+            stats = dict(self.stats)
         return {
             "workers": [
                 {"index": handle.index, "alive": handle.alive,
@@ -297,13 +300,17 @@ class WorkerPool:
             "ready": self.ready(),
             "draining": self._draining,
             "breakers": breakers,
-            "stats": dict(self.stats),
+            "stats": stats,
         }
 
     def degradations(self) -> list[DegradationEvent]:
         with self._lock:
             return [event for breaker in self._breakers.values()
                     for event in breaker.events]
+
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self.stats[name] += 1
 
     # ----------------------------------------------------------- dispatch
 
@@ -318,7 +325,7 @@ class WorkerPool:
         reply, which the caller maps to its own surface (HTTP status or
         exit code).
         """
-        self.stats["requests"] += 1
+        self._count("requests")
         budget = deadline_seconds
         if budget is None:
             budget = self.config.default_deadline_seconds
@@ -347,11 +354,11 @@ class WorkerPool:
             except WorkerCrashed as crash:
                 self._note_death(handle, structure)
                 if attempts > self.config.max_retries:
-                    self.stats["crashed_replies"] += 1
+                    self._count("crashed_replies")
                     raise WorkerCrashed(
                         f"request failed after {attempts} attempt(s): "
                         f"{crash}", attempts=attempts) from crash
-                self.stats["retries"] += 1
+                self._count("retries")
             finally:
                 handle.lease.release()
                 # Wake the parked _acquire tickets immediately: without
@@ -402,7 +409,7 @@ class WorkerPool:
 
     def _note_death(self, handle: WorkerHandle, structure: str | None) -> None:
         """Account a death, tear the corpse down, and queue a respawn."""
-        self.stats["worker_deaths"] += 1
+        self._count("worker_deaths")
         handle.deaths += 1
         handle.last_death = time.monotonic()
         handle.kill()
@@ -450,7 +457,7 @@ class WorkerPool:
             try:
                 if handle.proc is not None and \
                         handle.proc.poll() is not None:
-                    self.stats["worker_deaths"] += 1
+                    self._count("worker_deaths")
                     handle.deaths += 1
                     handle.last_death = time.monotonic()
                     handle.kill()

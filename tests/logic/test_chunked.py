@@ -1,11 +1,12 @@
-"""The chunked (big-n) columnar interpreter: the four-way differential,
-budget enforcement, and the degradation contract (P9 acceptance).
+"""The columnar executor past the dense width: the four-way differential,
+counter parity across widths, budget enforcement, and the degradation
+contract (P9 acceptance).
 
-The dense per-plan code generator only runs below
+The dense arity-2 representation is only used up to
 ``DENSE_WIDTH_THRESHOLD``; these tests monkeypatch the threshold the
 ``codegen`` module captured down to 2, so ordinary small structures —
 including snapshot-loaded ones with packed mmap relations — exercise the
-chunked interpreter while staying cheap enough to compare against the
+wide representation while staying cheap enough to compare against the
 plan backend and the tuple oracle on every query.
 """
 
@@ -26,7 +27,11 @@ from repro.logic.compile import compile_formula
 from repro.logic.eval import define_relation
 from repro.logic.plan import DomainProduct, PlanStats
 from repro.logic.queries import CANONICAL_QUERIES
-from repro.structures import load_structure, save_snapshot
+from repro.structures import (
+    load_structure,
+    random_alternating_graph,
+    save_snapshot,
+)
 from repro.structures.graphs import random_graph
 from repro.structures.zoo import clustered_graph, grid_graph, layered_dag
 
@@ -37,7 +42,7 @@ COVERED = ("tc", "dtc", "reach", "dreach", "count-reach", "half-out", "gap")
 
 @pytest.fixture
 def chunk_everything(monkeypatch):
-    """Route every columnar execution through the chunked interpreter
+    """Route every columnar execution through the wide representation
     (codegen imported the threshold by value, so patch its copy)."""
     monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
 
@@ -92,7 +97,51 @@ def test_chunked_backend_reported(chunk_everything):
     assert report["tuple_fallbacks"] == []
 
 
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("name", COVERED + ("non-reach",))
+def test_both_widths_agree(monkeypatch, name, wide):
+    """Every covered query is exact at both widths without degrading;
+    non-reach's universe**2 complement is exact at wide width too, but
+    only through the recorded columnar -> plan degradation."""
+    if wide:
+        monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
+    query = CANONICAL_QUERIES[name]
+    structure = random_graph(7, edge_probability=0.3, seed=2)
+    degradations: list = []
+    result = _relation(query, structure, "columnar",
+                       degradations=degradations)
+    assert result == _relation(query, structure, "tuple")
+    columnar = [(event.stage, event.fallback) for event in degradations
+                if event.stage == "columnar"]
+    assert columnar == ([("columnar", "plan")]
+                        if wide and name == "non-reach" else [])
+
+
 # ------------------------------------------------------- budgets and stats
+
+
+@pytest.mark.parametrize("name", ("tc", "reach", "apath"))
+def test_counters_mean_the_same_at_both_widths(monkeypatch, name):
+    """One executor, one accounting: both widths report materialized
+    rows, a resident working set and resident bytes, and the same number
+    of fixpoint rounds.  (apath's complement refuses the wide
+    representation, so its wide run finishes on the plan backend, whose
+    round count must agree as well.)"""
+    query = CANONICAL_QUERIES[name]
+    structure = random_alternating_graph(9, seed=4)
+    stats = {}
+    for width, threshold in (("dense", codegen.DENSE_WIDTH_THRESHOLD),
+                             ("wide", 2)):
+        monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", threshold)
+        stats[width] = PlanStats()
+        _relation(query, structure, "columnar", stats=stats[width])
+    for width, counters in stats.items():
+        assert counters.rows_materialized > 0, width
+        assert counters.peak_rows_resident > 0, width
+        assert counters.bytes_resident > 0, width
+    assert stats["dense"].fixpoint_rounds == stats["wide"].fixpoint_rounds
+    if name == "apath":
+        assert stats["dense"].fixpoint_rounds > 0
 
 
 def test_bytes_resident_budget_bites(chunk_everything):

@@ -3,7 +3,7 @@ PR 5 optimizer and the P7 columnar backend).
 
 The set-at-a-time plan backend must be *observationally identical* to the
 tuple-at-a-time enumeration it bypasses — the optimized plan to the raw
-compiled plan it rewrites — and the columnar codegen backend to all of
+compiled plan it rewrites — and the columnar backend to all of
 them.  Two layers of evidence:
 
 * every canonical Figure-1 query (the :data:`CANONICAL_QUERIES` registry:
@@ -16,7 +16,8 @@ them.  Two layers of evidence:
   symbols, constants, =, <=, ~, /\\, \\/, ->, exists, forall, counting
   quantifiers, TC, DTC, LFP with auxiliary references, and nesting of all
   of the above) — driving well over 100 ``(formula, structure)``
-  instances run **four ways**: columnar codegen, optimizer-on plan,
+  instances run **four ways**: columnar (at dense width and again with
+  the wide arity-2 representation forced), optimizer-on plan,
   optimizer-off plan, and the tuple oracle.  All four defined relations
   must agree exactly, and the optimized execution must materialize no
   more rows than the raw plan (the optimizer's whole point, pinned as an
@@ -36,6 +37,7 @@ import random
 
 import pytest
 
+from repro.logic import codegen
 from repro.logic.eval import ModelChecker, define_relation
 from repro.logic.plan import PlanStats
 from repro.logic.formula import (
@@ -193,17 +195,23 @@ class FormulaGenerator:
         return LFPAtom(relation, variables, body, terms)
 
 
-#: 40 seeds x 3 sizes = 120 generated (formula, structure) instances.
+#: 40 seeds x 3 sizes = 120 generated (formula, structure) instances,
+#: each run at both columnar widths.
 GENERATOR_SEEDS = range(40)
 GENERATOR_SIZES = (3, 4, 5)
 
 
+@pytest.mark.parametrize("width", ["dense", "wide"])
 @pytest.mark.parametrize("size", GENERATOR_SIZES)
 @pytest.mark.parametrize("seed", GENERATOR_SEEDS)
-def test_generated_formulas_agree(size, seed):
-    """Four-way differential: columnar codegen == optimized plan == raw
-    plan == tuple oracle, and the optimizer never materializes more rows
-    than the raw plan."""
+def test_generated_formulas_agree(size, seed, width, monkeypatch):
+    """Four-way differential: columnar == optimized plan == raw plan ==
+    tuple oracle, and the optimizer never materializes more rows than the
+    raw plan.  ``wide`` forces the dense width threshold down to 2, so the
+    columnar leg runs on the wide arity-2 representation (or degrades to
+    the plan backend on the shapes it refuses)."""
+    if width == "wide":
+        monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
     generator = FormulaGenerator(seed)
     formula = generator.formula(depth=3, scope=FREE_VARIABLES)
     structure = random_alternating_graph(size, seed=seed)

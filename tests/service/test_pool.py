@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -169,6 +171,64 @@ def test_breaker_half_opens_after_the_reset_window():
     assert not pool._breaker_open("g"), "breaker must half-open"
     assert pool._breakers["g"].deaths == 0
 
+
+
+class _FakeHandle:
+    """A worker handle that answers every call at once, in-process."""
+
+    def __init__(self, index):
+        self.index = index
+        self.lease = threading.Lock()
+        self.alive = True
+        self.deaths = 0
+        self.proc = None
+        self.loaded: set = set()
+
+    def call(self, request, timeout):
+        return {"ok": True, "id": request.get("id")}
+
+
+class _YieldingCounters(dict):
+    """A stats dict that yields the GIL between reading a counter and
+    writing it back, so an unguarded ``+=`` loses updates every time two
+    threads meet there."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        time.sleep(0)
+        return value
+
+
+def test_request_counter_loses_no_updates_under_concurrency():
+    """Counter updates from concurrent request threads are serialized by
+    the pool lock: N threads x M queries count exactly N*M requests."""
+    threads, calls = 8, 100
+    pool = WorkerPool(PoolConfig(workers=2))
+    pool._workers = [_FakeHandle(index) for index in range(2)]
+    pool.stats = _YieldingCounters(pool.stats)
+    errors: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def client():
+            try:
+                for _ in range(calls):
+                    assert pool.query({"op": "query"})["ok"]
+                    pool.health()
+            except Exception as error:  # surfaced below, not swallowed
+                errors.append(error)
+
+        workers = [threading.Thread(target=client) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert errors == []
+    assert pool.stats["requests"] == threads * calls
+    assert pool.health()["stats"]["requests"] == threads * calls
 
 def test_drain_refuses_new_work(pool):
     pool.drain(timeout=10.0)
