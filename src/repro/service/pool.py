@@ -46,7 +46,7 @@ from repro.core.errors import ProtocolError, WorkerCrashed
 from repro.core.governor import DegradationEvent
 from repro.testing.chaos import CHAOS_ENV, active_policy, policy_to_json
 
-from .protocol import FrameStream
+from .protocol import FrameStream, Message
 
 __all__ = ["PoolConfig", "WorkerHandle", "WorkerPool"]
 
@@ -137,7 +137,7 @@ class WorkerHandle:
     def alive(self) -> bool:
         return self.proc is not None and self.proc.poll() is None
 
-    def call(self, request: dict, timeout: float | None) -> dict:
+    def call(self, request: dict, timeout: float | None) -> Message:
         """One request/reply exchange.  Raises :class:`WorkerCrashed` on
         EOF/torn frame (death) or timeout (hang — the caller must kill)."""
         if self.stream is None:
@@ -315,7 +315,7 @@ class WorkerPool:
     # ----------------------------------------------------------- dispatch
 
     def query(self, request: dict,
-              deadline_seconds: float | None = None) -> dict:
+              deadline_seconds: float | None = None) -> Message:
         """Dispatch one idempotent read, retrying across worker deaths.
 
         ``deadline_seconds`` is the *remaining* wall-clock budget; it is
@@ -323,7 +323,8 @@ class WorkerPool:
         read (plus grace).  Raises :class:`WorkerCrashed` after the retry
         budget; other failures come back as the worker's typed error
         reply, which the caller maps to its own surface (HTTP status or
-        exit code).
+        exit code).  The reply is returned as received, payload bytes
+        included.
         """
         self._count("requests")
         budget = deadline_seconds

@@ -17,10 +17,12 @@ or a client hanging up, is distinguished from a torn message.
 
 :class:`FrameStream` wraps a raw file descriptor with its own buffer so
 reads can carry a deadline (``select`` + ``os.read``; Python's buffered
-readers cannot safely mix with ``select``).  The writer side runs the
-``service.net.drop`` chaos point, which can drop or truncate a frame —
-the reader must then see a clean :class:`ProtocolError`/EOF, never a
-half-parsed message.
+readers cannot safely mix with ``select``).  A decoded frame is a
+:class:`Message`: the dict plus the payload bytes it came from, which the
+HTTP front end sends on as the body of a worker's reply.  The writer
+side runs the ``service.net.drop`` chaos point, which can drop or
+truncate a frame — the reader must then see a clean
+:class:`ProtocolError`/EOF, never a half-parsed message.
 """
 
 from __future__ import annotations
@@ -32,19 +34,24 @@ import select
 from repro.core.errors import ProtocolError
 from repro.testing.chaos import chaos_point
 
-__all__ = ["FrameStream", "MAX_FRAME_BYTES", "read_frame", "write_frame"]
+__all__ = ["FrameStream", "MAX_FRAME_BYTES", "Message", "encode_frame",
+           "encode_payload", "frame_payload", "read_frame", "write_frame"]
 
 #: Refuse frames past this size: a garbled length prefix must not make
 #: the reader try to allocate gigabytes before noticing.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
-def encode_frame(message: dict) -> bytes:
-    """One frame's bytes: length prefix + JSON payload.  The
-    ``service.net.drop`` chaos point runs here — ``raise`` drops the
+def encode_payload(message: dict) -> bytes:
+    """A message's frame payload: compact UTF-8 JSON."""
+    return json.dumps(message, separators=(",", ":")).encode("utf-8")
+
+
+def frame_payload(payload: bytes) -> bytes:
+    """One frame's bytes: length prefix + an already encoded payload.
+    The ``service.net.drop`` chaos point runs here — ``raise`` drops the
     frame (a :class:`ProtocolError` the sender handles as a dead
     connection), ``corrupt`` truncates it mid-payload."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
@@ -59,13 +66,32 @@ def encode_frame(message: dict) -> bytes:
         raise ProtocolError(f"frame dropped in transit: {error}") from error
 
 
+def encode_frame(message: dict) -> bytes:
+    """One frame's bytes for ``message`` (see :func:`frame_payload`)."""
+    return frame_payload(encode_payload(message))
+
+
 def write_frame(stream, message: dict) -> None:
     """Write one frame to a binary file-like object and flush it."""
     stream.write(encode_frame(message))
     stream.flush()
 
 
-def read_frame(stream) -> dict | None:
+class Message(dict):
+    """A decoded frame payload that keeps the exact bytes it was decoded
+    from in :attr:`payload`, so a receiver that forwards the message
+    unchanged (the HTTP front end answering with a worker's reply) sends
+    those bytes instead of encoding the dict again.  Mutating the dict
+    does not update :attr:`payload`."""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, message: dict, payload: bytes):
+        super().__init__(message)
+        self.payload = payload
+
+
+def read_frame(stream) -> Message | None:
     """Read one frame from a binary file-like object.
 
     Returns ``None`` on clean EOF (no bytes at all); raises
@@ -82,7 +108,7 @@ def read_frame(stream) -> dict | None:
                         int.from_bytes(prefix, "big"))
 
 
-def _decode_body(payload: bytes, expected: int) -> dict:
+def _decode_body(payload: bytes, expected: int) -> Message:
     if expected > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame length prefix {expected} exceeds the "
@@ -100,7 +126,7 @@ def _decode_body(payload: bytes, expected: int) -> dict:
         raise ProtocolError(
             f"frame payload must be a JSON object, got "
             f"{type(message).__name__}")
-    return message
+    return Message(message, payload)
 
 
 class FrameStream:
@@ -158,9 +184,10 @@ class FrameStream:
             self._buffer.extend(chunk)
         return True
 
-    def receive(self, timeout: float | None = None) -> dict | None:
+    def receive(self, timeout: float | None = None) -> Message | None:
         """Read one frame; ``None`` on clean EOF, :class:`ProtocolError`
-        on a torn frame, ``TimeoutError`` past ``timeout`` seconds."""
+        on a torn frame, ``TimeoutError`` past ``timeout`` seconds.  The
+        reply keeps its payload bytes (:class:`Message`)."""
         import time
 
         if self._read_fd is None:

@@ -53,6 +53,7 @@ from repro.core.governor import CancelToken
 
 from .admission import AdmissionController
 from .pool import PoolConfig, WorkerPool
+from .protocol import Message
 
 __all__ = ["QueryService", "ServiceConfig", "serve_main"]
 
@@ -244,9 +245,14 @@ class QueryService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every connection.  A keep-alive client sends its
+    #: next request only after reading this reply, so Nagle's algorithm
+    #: holding back a small segment until the client's delayed ACK
+    #: (~40 ms on Linux) would add that wait to every request.
+    disable_nagle_algorithm = True
     service: QueryService  # installed by _make_server
 
-    # Quiet by default; one access-log line per request on stderr.
+    # One access-log line per request on stderr.
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         import sys
 
@@ -255,15 +261,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, body: dict,
                    retry_after: float | None = None) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        """Send status line, headers and body in one write.  A worker's
+        reply (a :class:`Message`) goes out as the payload bytes it
+        arrived in; bodies the server builds are encoded here."""
+        if isinstance(body, Message):
+            data = body.payload
+        else:
+            data = json.dumps(body).encode("utf-8")
+        self.log_request(status)
+        head = [f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(data)}"]
         if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, int(retry_after))))
-        self.end_headers()
+            head.append(f"Retry-After: {max(1, int(retry_after))}")
+        head.append("\r\n")
         try:
-            self.wfile.write(data)
+            self.wfile.write("\r\n".join(head).encode("latin-1") + data)
         except (BrokenPipeError, ConnectionResetError):
             pass  # client hung up: nothing left to tell them
 

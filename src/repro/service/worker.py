@@ -15,6 +15,14 @@ relations) are keyed by the frozen formula, and the **stats signature**
 optimizer reads) is part of the checker key, so a structure whose
 statistics change gets fresh plans instead of stale reorderings.
 
+Beside each checker sits its **answer memo**: per query, the projected,
+sorted rows and their compact JSON.  An entry is valid while the checker
+hands back the very relation object it was built from, so a recomputed
+relation rebuilds it, and evicting the checker drops it.  A cache hit
+then encodes only the per-request fields (``id``, ``cached``,
+``elapsed_ms``, ``degradations``, ``stats``) and the pipe loop splices
+them with the memoized bytes into the reply frame.
+
 Protocol ops (see :mod:`repro.service.protocol` for framing):
 
 =============  =========================================================
@@ -41,6 +49,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from typing import NamedTuple
 
 from repro.core.errors import (
     ProtocolError,
@@ -53,7 +62,7 @@ from repro.logic.queries import CANONICAL_QUERIES
 from repro.structures.structure import Structure, load_structure_file
 from repro.testing.chaos import ChaosError, chaos_point, install_policy_from_env
 
-from .protocol import read_frame, write_frame
+from .protocol import encode_payload, frame_payload, read_frame
 
 __all__ = ["Worker", "main", "stats_signature"]
 
@@ -104,6 +113,16 @@ def error_envelope(error: Exception) -> dict:
             "message": str(error)}
 
 
+class _Answer(NamedTuple):
+    """One memoized answer: the relation object it was projected from
+    (identity is the validity check), the reply fields that depend only
+    on that relation, and those fields as compact JSON without braces."""
+
+    relation: frozenset
+    fields: dict
+    fragment: bytes
+
+
 class Worker:
     """The in-process core of a worker: resident structures + checkers.
 
@@ -114,7 +133,8 @@ class Worker:
 
     def __init__(self) -> None:
         self.structures: dict[str, Structure] = {}
-        self._checkers: dict[tuple, ModelChecker] = {}
+        #: Checker key -> (checker, its answer memo by query name).
+        self._checkers: dict[tuple, tuple[ModelChecker, dict]] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.stopped = False
@@ -127,59 +147,87 @@ class Worker:
     # ------------------------------------------------------------ handlers
 
     def handle(self, request: dict) -> dict:
+        """Answer one request as a dict.  A query answer's ``columns``
+        and ``rows`` are fresh lists, so reordering or resizing them
+        leaves the memo intact; the row lists inside are the memo's own
+        and must be treated as read-only (copying them would cost more
+        than the whole cached answer)."""
+        reply, answer = self._respond(request)
+        if answer is not None:
+            reply.update(answer.fields)
+            if "rows" in reply:
+                reply["columns"] = list(reply["columns"])
+                reply["rows"] = list(reply["rows"])
+        return reply
+
+    def handle_payload(self, request: dict) -> bytes:
+        """Answer one request as its encoded reply payload: the same
+        message :meth:`handle` returns, with a query answer's memoized
+        JSON spliced in instead of encoded again."""
+        reply, answer = self._respond(request)
+        payload = encode_payload(reply)
+        if answer is None:
+            return payload
+        return payload[:-1] + b"," + answer.fragment + b"}"
+
+    def _respond(self, request: dict) -> tuple[dict, _Answer | None]:
+        """The reply's per-request fields, and the memoized answer whose
+        fields complete it (``None`` for everything but a query
+        answer)."""
         op = request.get("op")
         reply_id = request.get("id")
         try:
             if op == "ping":
                 return {"ok": True, "id": reply_id, "op": "ping",
                         "pid": os.getpid(),
-                        "structures": sorted(self.structures)}
+                        "structures": sorted(self.structures)}, None
             if op == "load":
-                return self._handle_load(request, reply_id)
+                return self._handle_load(request, reply_id), None
             if op == "query":
                 return self._handle_query(request, reply_id)
             if op == "shutdown":
                 self.stopped = True
-                return {"ok": True, "id": reply_id, "op": "shutdown"}
+                return {"ok": True, "id": reply_id, "op": "shutdown"}, None
             raise ValueError(f"unknown op {op!r}")
         except ChaosError:
             raise
         except Exception as error:
             return {"ok": False, "id": reply_id,
-                    "error": error_envelope(error)}
+                    "error": error_envelope(error)}, None
 
     def _handle_load(self, request: dict, reply_id) -> dict:
         name = request["name"]
         structure = load_structure_file(request["path"])
         self.structures[name] = structure
         # A reload under the same name invalidates that name's checkers.
-        self._checkers = {key: checker
-                          for key, checker in self._checkers.items()
+        self._checkers = {key: entry
+                          for key, entry in self._checkers.items()
                           if key[0] != name}
         return {"ok": True, "id": reply_id, "op": "load", "name": name,
                 "size": structure.size}
 
     def _checker_for(self, name: str, backend: str,
-                     optimize: bool) -> ModelChecker:
+                     optimize: bool) -> tuple[ModelChecker, dict]:
         structure = self.structures.get(name)
         if structure is None:
             raise KeyError(f"structure {name!r} is not resident; loaded: "
                            f"{sorted(self.structures) or 'none'}")
         key = (name, backend, optimize, stats_signature(structure))
-        checker = self._checkers.get(key)
-        if checker is None:
+        entry = self._checkers.get(key)
+        if entry is None:
             # New stats signature: drop this (name, backend) slot's stale
             # checker (and its plans, optimized against dead statistics).
             self._checkers = {
                 existing: value
                 for existing, value in self._checkers.items()
                 if existing[:3] != (name, backend, optimize)}
-            checker = ModelChecker(structure, backend=backend,
-                                   optimize=optimize)
-            self._checkers[key] = checker
-        return checker
+            entry = (ModelChecker(structure, backend=backend,
+                                  optimize=optimize), {})
+            self._checkers[key] = entry
+        return entry
 
-    def _handle_query(self, request: dict, reply_id) -> dict:
+    def _handle_query(self, request: dict,
+                      reply_id) -> tuple[dict, _Answer]:
         started = time.perf_counter()
         # The supervised-crash injection point: a raise here is escalated
         # to process death by the pipe loop (or re-raised to the caller's
@@ -196,7 +244,8 @@ class Worker:
                 f"unknown backend {backend!r}: expected one of "
                 f"{LOGIC_BACKENDS}")
         optimize = bool(request.get("optimize", True))
-        checker = self._checker_for(request["structure"], backend, optimize)
+        checker, answers = self._checker_for(request["structure"], backend,
+                                             optimize)
         deadline = request.get("deadline_seconds")
         max_rows = request.get("max_rows")
         token = self.external_cancel
@@ -215,13 +264,12 @@ class Worker:
             self.plan_cache_misses += 1
         mark = len(checker.degradations)
         columns, rows = checker.defined_relation(formula)
+        answer = answers.get(query.name)
+        if answer is None or answer.relation is not rows:
+            answer = answers[query.name] = _project(
+                query, request["structure"], backend, columns, rows)
         reply = {
-            "ok": True,
             "id": reply_id,
-            "query": query.name,
-            "structure": request["structure"],
-            "backend": backend,
-            "pid": os.getpid(),
             "cached": cached,
             "elapsed_ms": round((time.perf_counter() - started) * 1e3, 3),
             "degradations": [
@@ -233,15 +281,24 @@ class Worker:
                 **checker.plan_stats.as_dict(),
             },
         }
-        if query.variables:
-            positions = [columns.index(variable)
-                         for variable in query.variables]
-            reply["columns"] = list(query.variables)
-            reply["rows"] = sorted(
-                [row[position] for position in positions] for row in rows)
-        else:
-            reply["result"] = () in rows
-        return reply
+        return reply, answer
+
+
+def _project(query, structure: str, backend: str, columns,
+             rows: frozenset) -> _Answer:
+    """The reply fields a query's defined relation fixes: rows projected
+    onto the query's variables and sorted (or the truth value of a
+    sentence), with the request's names and this worker's pid."""
+    fields = {"ok": True, "query": query.name, "structure": structure,
+              "backend": backend, "pid": os.getpid()}
+    if query.variables:
+        positions = [columns.index(variable) for variable in query.variables]
+        fields["columns"] = list(query.variables)
+        fields["rows"] = sorted(
+            [row[position] for position in positions] for row in rows)
+    else:
+        fields["result"] = () in rows
+    return _Answer(rows, fields, encode_payload(fields)[1:-1])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -264,14 +321,15 @@ def main(argv: list[str] | None = None) -> int:
         if request is None:  # server hung up: normal shutdown
             return 0
         try:
-            reply = worker.handle(request)
+            payload = worker.handle_payload(request)
         except ChaosError:
             # The injected worker crash: die the way a SIGKILL'd or
             # OOM-killed process dies — no reply, no cleanup, no flush.
             sys.stderr.flush()
             os._exit(CRASH_EXIT)
         try:
-            write_frame(stdout, reply)
+            stdout.write(frame_payload(payload))
+            stdout.flush()
         except (ProtocolError, OSError) as error:
             print(f"worker {os.getpid()}: cannot reply: {error}",
                   file=sys.stderr)

@@ -10,19 +10,24 @@ deadlines.
 from __future__ import annotations
 
 import io
+import json
 import os
 import threading
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.errors import ProtocolError
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
     FrameStream,
     encode_frame,
+    frame_payload,
     read_frame,
     write_frame,
 )
+from repro.service.worker import Worker
 from repro.testing.chaos import Fault
 
 # ------------------------------------------------------------ file-like
@@ -92,7 +97,9 @@ def pipe_pair():
 def test_stream_round_trip(pipe_pair):
     left, right = pipe_pair
     left.send({"op": "ping", "id": 7})
-    assert right.receive(timeout=5.0) == {"op": "ping", "id": 7}
+    message = right.receive(timeout=5.0)
+    assert message == {"op": "ping", "id": 7}
+    assert message.payload == encode_frame({"op": "ping", "id": 7})[4:]
 
 
 def test_stream_eof_is_none(pipe_pair):
@@ -171,3 +178,78 @@ def test_net_corrupt_chaos_truncates_to_a_torn_frame(inject_faults):
     mangled = encode_frame({"op": "ping", "padding": "x" * 64})
     with pytest.raises(ProtocolError):
         read_frame(io.BytesIO(mangled))
+
+
+# ------------------------------------------------- mutation fuzz (replies)
+
+#: Read deadline for a fuzzed frame whose writer stays connected.
+FUZZ_TIMEOUT = 0.02
+
+
+@pytest.fixture(scope="module")
+def reply_frames(snapshot_path):
+    """Frames of real worker replies, as the pipe loop writes them: memo
+    hits (spliced payloads) for answers and a sentence, plus an error."""
+    worker = Worker()
+    worker.handle({"op": "load", "name": "g", "path": str(snapshot_path)})
+    frames = []
+    for query in ("tc", "apath", "non-reach", "reach", "nope"):
+        request = {"op": "query", "id": 3, "structure": "g", "query": query}
+        worker.handle_payload(request)
+        frames.append(frame_payload(worker.handle_payload(request)))
+    return frames
+
+
+def _receive(data: bytes, hang_up: bool):
+    """Write ``data`` into a pipe (hanging the writer up after it when
+    ``hang_up``) and read one frame through :class:`FrameStream`."""
+    read_fd, write_fd = os.pipe()
+    stream = FrameStream(read_fd, None)
+    try:
+        assert os.write(write_fd, data) == len(data)
+        if hang_up:
+            os.close(write_fd)
+        return stream.receive(timeout=FUZZ_TIMEOUT)
+    finally:
+        stream.close()
+        if not hang_up:
+            os.close(write_fd)
+
+
+def _check_outcome(data: bytes, payload: bytes, hang_up: bool) -> None:
+    """A mangled frame ends in a typed error, a bounded timeout, a clean
+    EOF when nothing arrived, or the original message, bytes included;
+    an intact frame must decode."""
+    intact = data == len(payload).to_bytes(4, "big") + payload
+    started = time.monotonic()
+    try:
+        message = _receive(data, hang_up)
+    except ProtocolError:
+        assert not intact
+        return
+    except TimeoutError:
+        assert not intact
+        assert not hang_up, "a closed pipe must end the read, not time out"
+        assert time.monotonic() - started < FUZZ_TIMEOUT + 1.0
+        return
+    if message is None:
+        assert data == b""
+        return
+    assert message == json.loads(payload)
+    assert message.payload == payload
+
+
+@given(data=st.data())
+def test_mangled_reply_frames_fail_typed_or_decode_identically(
+        reply_frames, data):
+    frame = data.draw(st.sampled_from(reply_frames))
+    payload = frame[4:]
+    length = data.draw(st.one_of(
+        st.just(len(payload)),
+        st.integers(0, 2 ** 32 - 1),
+        st.integers(-8, 8).map(lambda delta: max(0, len(payload) + delta))))
+    mangled = length.to_bytes(4, "big") + payload
+    for offset in range(len(mangled) + 1):
+        _check_outcome(mangled[:offset], payload, hang_up=True)
+    _check_outcome(mangled, payload,
+                   hang_up=data.draw(st.booleans(), label="hang_up"))

@@ -2,7 +2,9 @@
 
 The transport-independent :class:`QueryService` is tested directly
 (inline mode shares every code path above the dispatch seam with the
-pool); one end-to-end slice runs over real HTTP, and one over the
+pool); end-to-end slices run over real HTTP in both modes (a pool
+answer's body must be the worker's payload bytes, and keep-alive
+replies must not wait on the client's delayed ACK), and one over the
 ``python -m repro serve`` subprocess including SIGTERM drain.
 """
 
@@ -12,6 +14,8 @@ import http.client
 import json
 import os
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -20,6 +24,8 @@ import time
 import pytest
 
 from repro.core.governor import CancelToken
+from repro.logic.queries import CANONICAL_QUERIES
+from repro.service.protocol import Message
 from repro.service.server import (
     QueryService,
     ServiceConfig,
@@ -147,7 +153,8 @@ def http_server(service):
     thread.join(timeout=2.0)
 
 
-def _request(address, method, path, body=None):
+def _exchange(address, method, path, body=None):
+    """One request on a fresh connection: status, headers, raw body."""
     connection = http.client.HTTPConnection(*address, timeout=10.0)
     try:
         connection.request(
@@ -155,10 +162,14 @@ def _request(address, method, path, body=None):
             body=None if body is None else json.dumps(body),
             headers={"Content-Type": "application/json"})
         response = connection.getresponse()
-        payload = json.loads(response.read().decode("utf-8"))
-        return response.status, dict(response.getheaders()), payload
+        return response.status, dict(response.getheaders()), response.read()
     finally:
         connection.close()
+
+
+def _request(address, method, path, body=None):
+    status, headers, data = _exchange(address, method, path, body)
+    return status, headers, json.loads(data.decode("utf-8"))
 
 
 def test_http_end_to_end(http_server, oracle, snapshot_path):
@@ -200,6 +211,132 @@ def test_http_rejects_non_json_bodies(http_server):
         assert b"not valid JSON" in response.read()
     finally:
         connection.close()
+
+
+def _recording(service):
+    """Wrap ``service.handle_query`` to keep every ``(status, reply)`` it
+    returns, so a test can compare the HTTP body with the reply."""
+    returned = []
+    handle_query = service.handle_query
+
+    def record(*args, **kwargs):
+        result = handle_query(*args, **kwargs)
+        returned.append(result)
+        return result
+
+    service.handle_query = record
+    return returned
+
+
+def _assert_body_is_the_reply(status, data, returned) -> None:
+    """The HTTP body is the reply ``handle_query`` returned: a worker's
+    reply as its payload bytes, a server-built one encoded here."""
+    reply_status, reply = returned[-1]
+    assert status == reply_status
+    assert json.loads(data) == reply
+    if isinstance(reply, Message):
+        assert data == reply.payload
+    else:
+        assert data == json.dumps(reply).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def pool_http_server(snapshot_path):
+    service = QueryService(ServiceConfig(workers=1))
+    service.start()
+    for name in ("g", "cold"):
+        assert service.load(name, str(snapshot_path))["ok"]
+    returned = _recording(service)
+    server = _make_server(service, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address, returned
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=2.0)
+    service.drain()
+
+
+def test_keep_alive_requests_do_not_stall(pool_http_server):
+    """Sequential requests on one keep-alive connection: a reply written
+    as headers then body with Nagle's algorithm on waits for the
+    client's delayed ACK (~40 ms on Linux) before the body leaves."""
+    address, _ = pool_http_server
+    body = json.dumps({"structure": "g", "query": "tc"})
+    headers = {"Content-Type": "application/json"}
+    connection = http.client.HTTPConnection(*address, timeout=10.0)
+    latencies = []
+    try:
+        for _ in range(30):
+            started = time.perf_counter()
+            connection.request("POST", "/query", body=body, headers=headers)
+            response = connection.getresponse()
+            response.read()
+            latencies.append((time.perf_counter() - started) * 1e3)
+            assert response.status == 200
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 20.0, latencies
+
+
+def test_pool_answers_pass_through_http_as_worker_bytes(pool_http_server,
+                                                        oracle):
+    address, returned = pool_http_server
+    for query in ("tc", "apath", "non-reach", "reach"):
+        for _ in range(2):  # a cold answer, then a memoized one
+            status, _, data = _exchange(address, "POST", "/query",
+                                        {"structure": "g", "query": query})
+            assert status == 200, data
+            _assert_body_is_the_reply(status, data, returned)
+            assert isinstance(returned[-1][1], Message)
+        if CANONICAL_QUERIES[query].variables:
+            assert json.loads(data)["rows"] == oracle(query)
+
+
+def test_pool_error_replies_carry_their_own_bodies(pool_http_server,
+                                                   inject_faults):
+    address, returned = pool_http_server
+    cases = [
+        ({"structure": "cold", "query": "tc", "max_rows": 1}, 422),
+        ({"structure": "g", "query": "zz"}, 400),
+        ({"query": "tc"}, 400),
+        ({"structure": "g", "query": "tc", "deadline_seconds": 0.0}, 504),
+    ]
+    for body, expected in cases:
+        status, _, data = _exchange(address, "POST", "/query", body)
+        assert status == expected, data
+        _assert_body_is_the_reply(status, data, returned)
+    inject_faults(Fault("service.queue.overflow"))
+    status, headers, data = _exchange(address, "POST", "/query",
+                                      {"structure": "g", "query": "tc"})
+    assert status == 503 and int(headers["Retry-After"]) >= 1
+    _assert_body_is_the_reply(status, data, returned)
+
+
+def test_disconnected_inline_client_gets_an_encoded_408(service,
+                                                        http_server,
+                                                        inject_faults):
+    """A client that hangs up its sending side mid-query cancels the
+    inline evaluation; the 408 rewrite keeps the reply's own body."""
+    returned = _recording(service)
+    inject_faults(Fault("service.worker.crash", action="delay",
+                        delay_seconds=0.5))
+    body = json.dumps({"structure": "g", "query": "tc"}).encode()
+    with socket.create_connection(http_server, timeout=10.0) as client:
+        client.sendall(b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                       b"Content-Type: application/json\r\n"
+                       b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        client.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := client.recv(65536):
+            response += chunk
+    head, _, data = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408 "), head
+    reply_status, reply = returned[-1]
+    assert reply_status == 504
+    assert reply["error"]["type"] == "EvaluationCancelled"
+    assert json.loads(data) == reply
+    assert data == json.dumps(reply).encode("utf-8")
 
 
 # ------------------------------------------------------ the serve CLI

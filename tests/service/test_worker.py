@@ -12,8 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.governor import CancelToken
+from repro.logic.eval import define_relation
+from repro.logic.queries import CANONICAL_QUERIES
 from repro.service.worker import Worker, error_envelope, stats_signature
-from repro.structures import graph_structure
+from repro.structures import Changeset, graph_structure
 
 pytestmark = pytest.mark.usefixtures("snapshot_path")
 
@@ -128,6 +130,82 @@ def test_reload_invalidates_the_plan_cache(worker, snapshot_path):
     worker.handle({"op": "load", "name": "g", "path": str(snapshot_path)})
     reply = worker.handle({"op": "query", "structure": "g", "query": "tc"})
     assert not reply["cached"], "reload must drop the old structure's plans"
+
+
+def _tc_rows(structure) -> list[list]:
+    query = CANONICAL_QUERIES["tc"]
+    rows = define_relation(query.formula(), structure, query.variables,
+                           backend="tuple")
+    return sorted(list(row) for row in rows)
+
+
+def test_reload_with_different_edges_changes_the_rows(worker, tmp_path):
+    """Same universe and edge count (so the same stats signature), other
+    edges: the memoized answer must not outlive the reload."""
+    from repro.structures import save_snapshot
+
+    first = graph_structure(4, [(0, 1), (1, 2)])
+    second = graph_structure(4, [(2, 3), (3, 0)])
+    assert stats_signature(first) == stats_signature(second)
+    path = tmp_path / "line.snap"
+    request = {"op": "query", "structure": "h", "query": "tc"}
+    rows = []
+    for structure in (first, second):
+        save_snapshot(structure, path)
+        worker.handle({"op": "load", "name": "h", "path": str(path)})
+        worker.handle(request)
+        rows.append(worker.handle(request)["rows"])
+    assert rows == [_tc_rows(first), _tc_rows(second)]
+    assert rows[0] != rows[1]
+
+
+def test_mutating_a_reply_leaves_the_answer_memo_intact(worker, oracle):
+    request = {"op": "query", "structure": "g", "query": "tc"}
+    for _ in range(2):  # the second reply is served from the memo
+        reply = worker.handle(request)
+        reply["rows"].append([99, 99])
+        reply["rows"].reverse()
+        reply["columns"].clear()
+    reply = worker.handle(request)
+    assert reply["cached"]
+    assert reply["rows"] == oracle("tc")
+    assert reply["columns"] == ["u", "v"]
+
+
+def test_answer_memo_follows_a_recomputed_relation(worker):
+    """The memo is valid only while the checker returns the same relation
+    object: an update that keeps every cardinality (so the same checker
+    serves the next request) must still change the answer."""
+    request = {"op": "query", "structure": "g", "query": "tc"}
+    before = worker.handle(request)["rows"]
+    (checker, _), = worker._checkers.values()
+    structure = checker.structure
+    edges = sorted(structure.relations["E"])
+    absent = next((u, v) for u in range(structure.size)
+                  for v in range(structure.size) if (u, v) not in edges)
+    checker.apply_update(Changeset(
+        tuple(Changeset.inserting("E", absent))
+        + tuple(Changeset.deleting("E", edges[0]))))
+    after = worker.handle(request)
+    assert len(worker._checkers) == 1 and after["cached"]
+    assert after["rows"] == _tc_rows(checker.structure) != before
+
+
+def test_pipe_payload_decodes_to_the_handle_reply(worker):
+    """The pipe loop's spliced payload is the same message as
+    :meth:`Worker.handle`'s dict, for answers and for errors."""
+    import json
+
+    for query in ("tc", "non-reach", "reach", "nope"):
+        request = {"op": "query", "id": 5, "structure": "g",
+                   "query": query}
+        worker.handle(request)  # warm: both calls below are memo hits
+        reply = worker.handle(request)
+        decoded = json.loads(worker.handle_payload(request))
+        for message in (reply, decoded):
+            message.pop("elapsed_ms", None)
+            message.get("stats", {}).pop("plan_cache_hits", None)
+        assert decoded == reply
 
 
 def test_stats_signature_tracks_cardinalities():
