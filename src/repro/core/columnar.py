@@ -20,8 +20,9 @@ operation.  Over the canonical dense universe ``{0, ..., n-1}`` (see
 :class:`ColumnarRelation` carries one relation in whichever representation
 its arity picked, with the operator surface the plan executor needs
 (select / project / rename / natural join / semijoin / antijoin as bitset
-masks / union / difference as bitwise or / and-not / transitive closure as
-frontier BFS with a visited bitset).  The module-level kernels operate on
+masks / union / difference as bitwise or / and-not / transitive closure
+over the SCC condensation, or as frontier BFS with a visited bitset when a
+governor counts its rounds).  The module-level kernels operate on
 the *raw* payloads (ints, lists of ints, sets) — they are what the
 columnar plan walker (:mod:`repro.logic.codegen`) composes into per-node
 kernels, so the boxed class never appears on the hot path.
@@ -55,6 +56,8 @@ __all__ = [
     "iter_bits",
     "transpose",
     "compose",
+    "successor_lists",
+    "compose_successors",
     "mask_rows_source",
     "mask_rows_target",
     "and_rows",
@@ -73,7 +76,6 @@ __all__ = [
     "iter_csr_rows",
     "csr_bytes",
     "transpose_csr",
-    "compose_csr",
     "scc_csr",
     "closure_csr",
     "reach_from_csr",
@@ -245,19 +247,27 @@ def transpose(adjacency: list[int], n: int) -> list[int]:
 
 def compose(left: list[int], right: list[int]) -> list[int]:
     """Relational composition ``{(x, z) | ∃y: left(x, y) ∧ right(y, z)}`` —
-    the ``exists z`` join pattern as ``n`` rounds of bitwise OR."""
+    the ``exists z`` join pattern as one bitwise OR per left edge."""
+    return compose_successors(successor_lists(left), right)
+
+
+def successor_lists(adjacency: list[int]) -> list[tuple[int, ...]]:
+    """Each row's targets as a tuple: the left operand of
+    :func:`compose_successors`, decoded once for every composition that
+    reuses it."""
+    return [tuple(iter_bits(bits)) for bits in adjacency]
+
+
+def compose_successors(successors: list[tuple[int, ...]], right: list[int]
+                       ) -> list[int]:
+    """:func:`compose` with the left operand as :func:`successor_lists`:
+    one bitwise OR per left edge."""
     out = []
     append = out.append
-    table = _BYTE_OFFSETS
-    for bits in left:
+    for targets in successors:
         row = 0
-        if bits:
-            data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-            for base, byte in enumerate(data):
-                if byte:
-                    base8 = base << 3
-                    for offset in table[byte]:
-                        row |= right[base8 + offset]
+        for target in targets:
+            row |= right[target]
         append(row)
     return out
 
@@ -325,28 +335,29 @@ def count_per_source(adjacency: list[int], threshold: int) -> int:
 def closure_adjacency(adjacency: list[int], n: int,
                       deterministic: bool = False,
                       governor=None) -> list[int]:
-    """The *reflexive* transitive closure of bitmask-row adjacency, by
-    level-synchronized frontier BFS with a visited bitset per source.
+    """The *reflexive* transitive closure of bitmask-row adjacency.
 
     ``deterministic`` applies the DTC reading first: only out-degree-one
-    sources keep their edge.  Rounds match the semi-naive closure kernel's
-    (one per BFS wave), so a ``governor``'s round budget bites at the same
-    granularity as the set-at-a-time backend.
+    sources keep their edge.
+
+    Ungoverned, the closure is one sweep over the SCC (strongly connected
+    component) condensation: :func:`scc_csr` numbers the components sinks
+    first, and each component's reach set is its members plus the reach
+    sets of the components its edges enter, all of them already final.
+    Governed, it is level-synchronized frontier BFS with a visited bitset
+    per source, one ``governor`` round per wave — the semi-naive closure
+    kernel's rounds, so a round budget bites at the same granularity as
+    the set-at-a-time backend.
     """
     if deterministic:
         adjacency = [row if row.bit_count() == 1 else 0 for row in adjacency]
-        if governor is None:
-            # Out-degree <= 1 everywhere: reach sets along a chain nest, so
-            # one memoized pointer-chase per component replaces the waves.
-            # (Governed runs keep the wave loop below so the round budget
-            # bites at exactly the interpreter's granularity.)
-            return _closure_functional(adjacency, n)
+    if governor is None:
+        return _closure_condensed(adjacency, n)
     reach = [(1 << source) | adjacency[source] for source in range(n)]
     frontier = list(adjacency)
     table = _BYTE_OFFSETS
     while True:
-        if governor is not None:
-            governor.note_round()
+        governor.note_round()
         advanced = False
         for source in range(n):
             bits = frontier[source]
@@ -368,41 +379,25 @@ def closure_adjacency(adjacency: list[int], n: int,
             return reach
 
 
-def _closure_functional(adjacency: list[int], n: int) -> list[int]:
-    """Reflexive closure when every row has at most one bit: walk each
-    unvisited chain, resolve the cycle or sink it ends in, then unwind the
-    suffix-nested reach sets in reverse.  O(n) big-int ORs total."""
-    reach = [0] * n
-    state = bytearray(n)          # 0 unvisited / 1 on current path / 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
-        node = start
-        while not state[node]:
-            state[node] = 1
-            path.append(node)
-            successor = adjacency[node]
-            if not successor:
-                break
-            node = successor.bit_length() - 1
-        if not adjacency[path[-1]]:
-            tail = 0                               # the chain ends in a sink
-        elif state[node] == 2:
-            tail = reach[node]                     # joined a finished chain
-        else:                                      # closed a new cycle
-            position = path.index(node)
-            tail = 0
-            for member in path[position:]:
-                tail |= 1 << member
-            for member in path[position:]:
-                reach[member] = tail
-                state[member] = 2
-            del path[position:]
-        for member in reversed(path):
-            tail = reach[member] = (1 << member) | tail
-            state[member] = 2
-    return reach
+def _closure_condensed(adjacency: list[int], n: int) -> list[int]:
+    """Reflexive closure over the SCC condensation: one OR per component
+    member, then one OR per distinct target leaving each component."""
+    component, count = scc_csr(*csr_of_adjacency(adjacency), n)
+    members = [0] * count
+    leaving = [0] * count
+    for node in range(n):
+        own = component[node]
+        members[own] |= 1 << node
+        leaving[own] |= adjacency[node]
+    # Ascending ids visit sinks first: every target outside a component
+    # lies in one with a smaller id, whose reach set is final.
+    reach = [0] * count
+    for own in range(count):
+        row = members[own]
+        for target in iter_bits(leaving[own] & ~row):
+            row |= reach[component[target]]
+        reach[own] = row
+    return [reach[own] for own in component]
 
 
 # --------------------------------------------------- closure patch kernels
@@ -586,29 +581,6 @@ def transpose_csr(offsets: Sequence[int], targets: Sequence[int], n: int
             out_targets[cursor[target]] = source
             cursor[target] += 1
     return out_offsets, out_targets
-
-
-def compose_csr(left_offsets: Sequence[int], left_targets: Sequence[int],
-                right_offsets: Sequence[int], right_targets: Sequence[int],
-                n: int, governor=None) -> tuple[array, array]:
-    """Relational composition ``{(x, z) : (x, y) in L and (y, z) in R}``
-    of two CSR pairs.  Works row-at-a-time — the live set is one output
-    row plus the inputs, never a dense matrix."""
-    offsets = array("q", bytes(8 * (n + 1)))
-    out = array("i")
-    for source in range(n):
-        start, end = left_offsets[source], left_offsets[source + 1]
-        if end > start:
-            row: set[int] = set()
-            for position in range(start, end):
-                mid = left_targets[position]
-                row.update(
-                    right_targets[right_offsets[mid]:right_offsets[mid + 1]])
-            out.extend(sorted(row))
-            if governor is not None:
-                governor.note_rows(len(row))
-        offsets[source + 1] = len(out)
-    return offsets, out
 
 
 def scc_csr(offsets: Sequence[int], targets: Sequence[int], n: int
@@ -1051,8 +1023,8 @@ class ColumnarRelation:
 
     def closure(self, deterministic: bool = False,
                 governor=None) -> "ColumnarRelation":
-        """The reflexive transitive closure (arity 2): CSR frontier BFS
-        with a visited bitset per source."""
+        """The reflexive transitive closure (arity 2), by
+        :func:`closure_adjacency`."""
         if self.arity != 2:
             raise TypeError("closure requires a binary relation")
         return ColumnarRelation(

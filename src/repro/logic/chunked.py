@@ -260,5 +260,5 @@ def execute_chunked(plan: Plan, structure, auxiliary=None,
     :class:`ChunkedUnsupported` on plan shapes outside the coverage; the
     evaluation ladder turns that into a degradation event.
     """
-    return _run(_Wide(structure.size), {}, plan, structure, auxiliary,
-                seminaive, stats, governor)
+    return _run(_Wide(structure.size), plan, structure, auxiliary, seminaive,
+                stats, governor)

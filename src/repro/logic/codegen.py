@@ -28,10 +28,23 @@ it is ``_Wide`` (:mod:`repro.logic.chunked`): CSR pairs and sparse
 ``{source: set}`` dicts whose memory is O(edges).  The shape-resolved
 kernel factories (:func:`_join_fn`, :func:`_semi_fn`, :func:`_project_fn`
 and the representation's ``select_fn``) compose the representation's
-primitives once per node.  :func:`compiled_columnar` caches them per
-``(plan, n, seminaive)`` — the representation signature — so fixpoint
-rounds and later executions never re-resolve them, and counts its hits on
-``PlanStats.codegen_cache_hits``.
+primitives once per node and execution, so fixpoint rounds never
+re-resolve them.  :func:`compiled_columnar` caches the representation
+census per ``(plan, n, seminaive)`` — the representation signature — and
+counts its hits on ``PlanStats.codegen_cache_hits``.
+
+Work that does not change while a plan runs is done once per execution.
+The walker memoizes each ``RelationScan`` payload (the structure cannot
+change during a walk; a memo hit is still noted, so every counter keeps
+its value).  At dense width the execution's :class:`_Dense` memoizes, per
+payload, its converse (entered both ways, so flipping a converse back is
+free) and its successor lists (so each later ``compose`` with it as the
+left operand is one OR per edge).  Those memos rely on dense payloads
+never being mutated: ``own2`` is the identity and ``merge2`` builds a new
+list.  The wide width's ``merge2`` updates owned dicts in place, so it
+keeps no such memo.  The memos belong to one execution: every execution
+builds its own representation and binds its kernels to it, so threads
+running one compiled plan at once share nothing mutable.
 
 Nodes with no columnar kernel (``Closure`` over k-tuples with k ≥ 2, and
 any node type the walker does not know) run at dense width as *islands*:
@@ -65,7 +78,7 @@ from repro.core.columnar import (
     andnot_rows,
     bits_of_unary,
     closure_adjacency,
-    compose,
+    compose_successors,
     count_per_source,
     iter_bits,
     mask_rows_source,
@@ -76,6 +89,7 @@ from repro.core.columnar import (
     reach_from,
     rows_of_adjacency,
     rows_of_bits,
+    successor_lists,
     transpose,
 )
 from repro.core.governor import DegradationEvent
@@ -269,10 +283,27 @@ class _Columns:
         return total | fresh
 
 
+#: Payload bytes, counting ``n`` rows of ``n`` bits each, that one
+#: execution's :class:`_Dense` memo holds before it starts over (about
+#: 32k payloads at n = 128, 8 at the dense width threshold).
+_DERIVED_BYTES = 1 << 26
+
+
 class _Dense(_Columns):
     """Arity 2 up to the dense width: bitmask rows, ``rows[x]`` the bitset
     of ``y`` with ``(x, y)`` in the relation — relational algebra as ``n``
-    big-int operations."""
+    big-int operations.
+
+    One instance serves one execution.  ``derived`` memoizes what is
+    derived from a payload, keyed by its ``id``: ``[payload, converse,
+    successor lists]``.  A converse is entered both ways, so transposing
+    it back is a hit, and holding the payload keeps its ``id`` from being
+    recycled while the memo lives.  This is sound only because no dense
+    payload is ever mutated: ``own2`` is the identity and every kernel
+    builds a new list.  The memo starts over once it holds
+    :data:`_DERIVED_BYTES` of payloads at the dense worst case, so a long
+    fixed point over a wide universe cannot keep every round alive.
+    """
 
     rows2 = staticmethod(rows_of_adjacency)
     nonempty2 = staticmethod(any)
@@ -282,10 +313,22 @@ class _Dense(_Columns):
     own2 = staticmethod(_identity)  # merge2 never mutates
     mask_source = staticmethod(mask_rows_source)
     mask_target = staticmethod(mask_rows_target)
-    compose = staticmethod(compose)
     proj_source = staticmethod(proj_source)
     proj_target = staticmethod(proj_target)
     count_per_source = staticmethod(count_per_source)
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.derived: dict[int, list] = {}
+        self.capacity = max(4, _DERIVED_BYTES // (n * ((n + 7) >> 3) or 1))
+
+    def _derived(self, raw: list[int]) -> list:
+        entry = self.derived.get(id(raw))
+        if entry is None:
+            if len(self.derived) >= self.capacity:
+                self.derived.clear()
+            entry = self.derived[id(raw)] = [raw, None, None]
+        return entry
 
     def of_pairs(self, rows) -> list[int]:
         return adjacency_of_binary(rows, self.n)
@@ -311,7 +354,17 @@ class _Dense(_Columns):
         return 8 * len(raw) + (sum(map(int.bit_length, raw)) >> 3)
 
     def transpose(self, raw: list[int]) -> list[int]:
-        return transpose(raw, self.n)
+        entry = self._derived(raw)
+        if entry[1] is None:
+            entry[1] = transpose(raw, self.n)
+            self._derived(entry[1])[1] = raw
+        return entry[1]
+
+    def compose(self, left: list[int], right: list[int]) -> list[int]:
+        entry = self._derived(left)
+        if entry[2] is None:
+            entry[2] = successor_lists(left)
+        return compose_successors(entry[2], right)
 
     @staticmethod
     def merge2(total: list[int], fresh: list[int]) -> list[int]:
@@ -328,7 +381,7 @@ class _Dense(_Columns):
         if deterministic:
             raw = [row if row.bit_count() == 1 else 0 for row in raw]
         if reverse:
-            raw = transpose(raw, self.n)
+            raw = self.transpose(raw)
         return iter_bits(reach_from(raw, start, governor=governor))
 
     def select_fn(self, comparisons: tuple) -> Callable:
@@ -709,17 +762,22 @@ _RESOLVERS = {
 class _Walker:
     """One execution of one plan over one structure.
 
-    ``scope`` maps each enclosing fixed point's relation to ``(total,
-    frontier, arity)``; ``memo``/``round_memo`` back non-volatile and
-    volatile ``Shared`` nodes; ``accumulators`` is the innermost
-    delta-rewritten fixed point's ``Cumulative`` store.
+    ``kernels`` holds each node's kernel, resolved against this
+    execution's ``cols`` on first use; ``scans`` holds each
+    ``RelationScan`` payload by ``(name, arity, order)`` (the structure
+    cannot change during a walk); ``scope`` maps each enclosing fixed
+    point's relation to ``(total, frontier, arity)``; ``memo``/
+    ``round_memo`` back non-volatile and volatile ``Shared`` nodes;
+    ``accumulators`` is the innermost delta-rewritten fixed point's
+    ``Cumulative`` store.
     """
 
-    def __init__(self, cols: _Columns, kernels: dict, structure, auxiliary,
+    def __init__(self, cols: _Columns, structure, auxiliary,
                  seminaive: bool, stats: PlanStats | None, governor):
         self.cols = cols
         self.n = cols.n
-        self.kernels = kernels
+        self.kernels: dict[int, Callable] = {}
+        self.scans: dict[tuple, object] = {}
         self.structure = structure
         self.aux = auxiliary or {}
         self.seminaive = seminaive
@@ -770,16 +828,20 @@ class _Walker:
 
 def _eval_relation_scan(w: _Walker, node: RelationScan):
     arity = len(node.columns)
-    relation = w.structure.relation(node.name)
-    # Snapshot relations expose their packed payloads directly — the
-    # zero-copy path that makes a cold mmap load usable as-is.
-    if arity == 2:
-        raw = w.cols.scan2(relation)
-    elif arity == 1 and hasattr(relation, "bitset"):
-        raw = relation.bitset()
-    else:
-        raw = w.cols.encode(relation, arity)
-    return w.note(w.cols.permute(raw, arity, node.order), arity)
+    key = (node.name, arity, node.order)
+    raw = w.scans.get(key)
+    if raw is None:
+        relation = w.structure.relation(node.name)
+        # Snapshot relations expose their packed payloads directly — the
+        # zero-copy path that makes a cold mmap load usable as-is.
+        if arity == 2:
+            raw = w.cols.scan2(relation)
+        elif arity == 1 and hasattr(relation, "bitset"):
+            raw = relation.bitset()
+        else:
+            raw = w.cols.encode(relation, arity)
+        raw = w.scans[key] = w.cols.permute(raw, arity, node.order)
+    return w.note(raw, arity)
 
 
 def _eval_aux_scan(w: _Walker, node: AuxScan):
@@ -1065,11 +1127,12 @@ _EVAL = {
 }
 
 
-def _run(cols: _Columns, kernels: dict, plan: Plan, structure, auxiliary,
-         seminaive: bool, stats: PlanStats | None, governor) -> frozenset:
-    """Walk ``plan`` over ``structure`` and decode the result to rows."""
-    walker = _Walker(cols, kernels, structure, auxiliary, seminaive, stats,
-                     governor)
+def _run(cols: _Columns, plan: Plan, structure, auxiliary, seminaive: bool,
+         stats: PlanStats | None, governor) -> frozenset:
+    """Walk ``plan`` over ``structure`` and decode the result to rows.
+    ``cols`` and the kernels bound to it belong to this one execution, so
+    executions of one plan on several threads share no memo."""
+    walker = _Walker(cols, structure, auxiliary, seminaive, stats, governor)
     return frozenset(cols.decode(walker.eval(plan), len(plan.columns)))
 
 
@@ -1100,13 +1163,12 @@ def _census(plan: Plan) -> tuple[dict, tuple]:
 
 
 class CompiledColumnarPlan:
-    """One plan specialized to a dense universe: the representation, the
-    per-node kernels resolved against it (filled on first use, then shared
-    by every later round and execution), and the census of representations
-    chosen and tuple fallbacks."""
+    """One plan specialized to a dense universe: the census of
+    representations chosen and tuple fallbacks.  Each execution binds the
+    kernels afresh to its own :class:`_Dense` and its memos."""
 
     __slots__ = ("plan", "n", "seminaive", "out_tag", "representations",
-                 "fallbacks", "cols", "kernels")
+                 "fallbacks")
 
     def __init__(self, plan: Plan, n: int, seminaive: bool):
         self.plan = plan
@@ -1114,8 +1176,6 @@ class CompiledColumnarPlan:
         self.seminaive = seminaive
         self.out_tag = _tag(len(plan.columns))
         self.representations, self.fallbacks = _census(plan)
-        self.cols = _Dense(n)
-        self.kernels: dict[int, Callable] = {}
 
     def execute(self, structure, auxiliary=None, stats=None, governor=None
                 ) -> frozenset:
@@ -1123,7 +1183,7 @@ class CompiledColumnarPlan:
         if structure.size != self.n:
             raise ValueError(
                 f"plan compiled for universe {self.n}, got {structure.size}")
-        return _run(self.cols, self.kernels, self.plan, structure, auxiliary,
+        return _run(_Dense(self.n), self.plan, structure, auxiliary,
                     self.seminaive, stats, governor)
 
     def report(self) -> dict:

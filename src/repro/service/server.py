@@ -319,35 +319,39 @@ class _Handler(BaseHTTPRequestHandler):
         """Inline mode only: watch the connection for EOF while the query
         runs, cancelling the request's token when the client hangs up.
         Returns ``(token, stop)``; pool mode returns ``(None, no-op)`` —
-        there, abandonment is bounded by the request deadline instead."""
+        there, abandonment is bounded by the request deadline instead.
+
+        The watcher blocks in ``select`` on the connection and on one end
+        of a socket pair with no timeout; ``stop`` writes a byte to the
+        other end, so it returns as soon as the watcher wakes."""
         if self.service.pool is not None:
             return None, lambda: None
         import select
         import socket
 
         token = CancelToken()
-        stopped = threading.Event()
+        wake, waker = socket.socketpair()
 
         def watch():
-            while not stopped.is_set():
-                try:
-                    ready, _, _ = select.select([self.connection], [], [],
-                                                0.05)
-                    if ready and not self.connection.recv(
-                            1, socket.MSG_PEEK):
-                        token.cancel()
-                        return
-                except (OSError, ValueError):
-                    return  # connection torn down under us: nothing to do
-                stopped.wait(timeout=0.05)
+            try:
+                ready, _, _ = select.select([self.connection, wake], [], [])
+                # Bytes already waiting (a pipelined request) hide any
+                # hang-up behind them, so only a bare EOF cancels.
+                if wake not in ready and not self.connection.recv(
+                        1, socket.MSG_PEEK):
+                    token.cancel()
+            except (OSError, ValueError):
+                pass  # connection torn down under us: nothing to do
 
         thread = threading.Thread(target=watch, name="disconnect-watch",
                                   daemon=True)
         thread.start()
 
         def stop():
-            stopped.set()
-            thread.join(timeout=1.0)
+            waker.send(b"\0")
+            thread.join()
+            wake.close()
+            waker.close()
 
         return token, stop
 

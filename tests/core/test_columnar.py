@@ -9,6 +9,8 @@ tuple-set computation on seeded random relations, and
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columnar import (
     ColumnarRelation,
@@ -18,6 +20,7 @@ from repro.core.columnar import (
     bits_of_unary,
     closure_adjacency,
     compose,
+    compose_successors,
     count_per_source,
     csr_of_adjacency,
     adjacency_of_csr,
@@ -29,6 +32,7 @@ from repro.core.columnar import (
     proj_target,
     rows_of_adjacency,
     rows_of_bits,
+    successor_lists,
     transpose,
 )
 from repro.core.engine import transitive_closure
@@ -54,6 +58,17 @@ class TestKernelsAgainstSets:
     def test_bitset_roundtrip(self, seed):
         rows = random_unary(self.N, 0.4, seed)
         assert rows_of_bits(bits_of_unary(rows)) == rows
+
+    def test_compose_through_successor_lists(self, seed):
+        left = random_binary(self.N, 0.2, seed)
+        right = random_binary(self.N, 0.3, seed + 50)
+        successors = successor_lists(adjacency_of_binary(left, self.N))
+        assert successors == [tuple(sorted(y for x, y in left if x == row))
+                              for row in range(self.N)]
+        got = compose_successors(successors,
+                                 adjacency_of_binary(right, self.N))
+        assert rows_of_adjacency(got) == {(x, z) for x, y in left
+                                          for w, z in right if y == w}
 
     def test_adjacency_roundtrip_and_csr(self, seed):
         rows = random_binary(self.N, 0.2, seed)
@@ -115,7 +130,7 @@ class TestKernelsAgainstSets:
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_closure_matches_engine_kernel(seed, deterministic):
-    """Frontier-BFS closure over row bitsets == the engine's set-level
+    """The closure over row bitsets == the engine's set-level
     transitive-closure kernel (both reflexive over the universe)."""
     n = 13
     rows = random_binary(n, 0.15, seed)
@@ -129,6 +144,30 @@ def test_closure_matches_engine_kernel(seed, deterministic):
     got = rows_of_adjacency(
         closure_adjacency(adj, n, deterministic=deterministic))
     assert got == want
+
+
+@st.composite
+def graphs(draw):
+    """A universe size and an edge set over it: self-loops, cycles and
+    the empty and one-element universes included."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    if n == 0:
+        return 0, set()
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    return n, draw(st.sets(st.tuples(vertex, vertex), max_size=3 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.booleans())
+def test_condensation_closure_matches_the_wave_loop(graph, deterministic):
+    """The ungoverned closure (one sweep over the SCC condensation) ==
+    the governed one (frontier-BFS waves; a generous governor forces that
+    path without ever tripping)."""
+    n, rows = graph
+    adj = adjacency_of_binary(rows, n)
+    waves = closure_adjacency(adj, n, deterministic=deterministic,
+                              governor=Governor(Budget()))
+    assert closure_adjacency(adj, n, deterministic=deterministic) == waves
 
 
 def test_closure_respects_round_budget():

@@ -3,15 +3,19 @@
 The differential corpus in ``test_plan_differential.py`` already proves
 row-level agreement four ways; this module pins the executor's machinery:
 the compile cache and its hit counter, the representation report, the
-degradation record on unsupported shapes, governor parity, and the
-Session / CLI wiring.
+degradation record on unsupported shapes, governor parity, the
+per-execution memos that hoist loop-invariant work out of fixed points,
+and the Session / CLI wiring.
 """
+
+import threading
 
 import pytest
 
 from repro.core.engine import Session
 from repro.core.errors import ResourceLimitExceeded
 from repro.core.governor import Budget
+from repro.logic import codegen
 from repro.logic.codegen import (
     MAX_COLUMNAR_UNIVERSE,
     clear_codegen_cache,
@@ -37,7 +41,14 @@ from repro.logic.formula import (
 )
 from repro.logic.optimize import optimize_formula
 from repro.logic.plan import ExecutionContext, PlanStats
-from repro.structures import path_graph, random_graph
+from repro.logic.queries import CANONICAL_QUERIES
+from repro.structures import (
+    path_graph,
+    random_alternating_graph,
+    random_graph,
+    save_snapshot,
+)
+from repro.structures.structure import load_structure_file
 
 TC = TCAtom(("a",), ("b",), rel("E", "a", "b"), (var("x"),), (var("y"),))
 
@@ -198,3 +209,104 @@ def test_checker_memoizes_compiled_relation():
     # Second assignment answered from the cached defined relation: no new
     # plan execution at all.
     assert checker.plan_stats.rows_materialized == rows_before
+
+
+# ------------------------------------------- per-execution memos (hoisting)
+
+
+@pytest.fixture(scope="module")
+def snapshot_graph(tmp_path_factory):
+    """An n=128 alternating graph loaded from an RSNP snapshot, so every
+    scan of ``E`` decodes the packed CSR section (``adjacency_of_csr``)."""
+    path = tmp_path_factory.mktemp("codegen") / "alternating.rsnp"
+    save_snapshot(random_alternating_graph(128, edge_probability=0.03,
+                                           seed=3), path)
+    return load_structure_file(path)
+
+
+def _compiled(name, structure):
+    query = CANONICAL_QUERIES[name]
+    plan = optimize_formula(query.formula(), structure, query.variables)
+    return compile_columnar(plan, structure.size)
+
+
+def _spy(monkeypatch, name, calls):
+    """Record every ``(argument, result)`` of ``codegen.<name>``; the
+    records keep both alive, so their ids stay unique."""
+    real = getattr(codegen, name)
+
+    def spy(*args):
+        result = real(*args)
+        calls.append((args[0], result))
+        return result
+
+    monkeypatch.setattr(codegen, name, spy)
+
+
+def test_dense_apath_does_loop_invariant_work_once(monkeypatch,
+                                                    snapshot_graph):
+    """One apath execution: ``E`` is decoded from the snapshot once, each
+    left operand of a composition is turned into successor lists once,
+    and no payload is transposed twice — a converse flipped back is a
+    memo hit, not a second transpose."""
+    compiled = _compiled("apath", snapshot_graph)
+    expected = compiled.execute(snapshot_graph)
+    scans, successors, transposes = [], [], []
+    _spy(monkeypatch, "adjacency_of_csr", scans)
+    _spy(monkeypatch, "successor_lists", successors)
+    _spy(monkeypatch, "transpose", transposes)
+    stats = PlanStats()
+    assert compiled.execute(snapshot_graph, stats=stats) == expected
+    assert stats.fixpoint_rounds > 3  # enough rounds for reuse to matter
+    assert len(scans) == 1
+    assert successors
+    lefts = [id(left) for left, _ in successors]
+    assert len(set(lefts)) == len(lefts)
+    sources = [id(raw) for raw, _ in transposes]
+    assert len(set(sources)) == len(sources)
+    converses = {id(converse) for _, converse in transposes}
+    assert not converses & set(sources)
+
+
+def test_a_full_memo_starts_over_without_changing_answers(monkeypatch,
+                                                         snapshot_graph):
+    plans = {name: _compiled(name, snapshot_graph)
+             for name in ("apath", "agap", "gap")}
+    expected = {name: plan.execute(snapshot_graph)
+                for name, plan in plans.items()}
+    monkeypatch.setattr(codegen, "_DERIVED_BYTES", 0)  # capacity: 4 entries
+    for name, plan in plans.items():
+        assert plan.execute(snapshot_graph) == expected[name]
+
+
+def test_threads_running_one_compiled_plan_agree(monkeypatch,
+                                                 snapshot_graph):
+    """Inline-mode service threads execute one cached compiled plan at
+    once; every execution builds its own representation and memos, so
+    answers never mix and no memo outlives its execution."""
+    built = []
+
+    class Recording(codegen._Dense):
+        def __init__(self, n):
+            super().__init__(n)
+            built.append(self)
+
+    monkeypatch.setattr(codegen, "_Dense", Recording)
+    plans = {name: _compiled(name, snapshot_graph) for name in ("apath", "tc")}
+    expected = {name: plan.execute(snapshot_graph)
+                for name, plan in plans.items()}
+    mismatches = []
+
+    def run():
+        for _ in range(4):
+            for name, plan in plans.items():
+                if plan.execute(snapshot_graph) != expected[name]:
+                    mismatches.append(name)
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not mismatches
+    assert len(built) == len(plans) * (1 + 2 * 4)

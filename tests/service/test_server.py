@@ -339,6 +339,60 @@ def test_disconnected_inline_client_gets_an_encoded_408(service,
     assert data == json.dumps(reply).encode("utf-8")
 
 
+def test_inline_keep_alive_requests_do_not_wait_for_the_watcher(
+        http_server):
+    """Sequential inline requests on one keep-alive connection: a
+    disconnect watcher that polled the connection on a timer would hold
+    every reply until its next poll (~50 ms) before the handler could
+    join it."""
+    body = json.dumps({"structure": "g", "query": "tc"})
+    headers = {"Content-Type": "application/json"}
+    connection = http.client.HTTPConnection(*http_server, timeout=10.0)
+    latencies = []
+    try:
+        for _ in range(30):
+            started = time.perf_counter()
+            connection.request("POST", "/query", body=body, headers=headers)
+            response = connection.getresponse()
+            response.read()
+            latencies.append((time.perf_counter() - started) * 1e3)
+            assert response.status == 200
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 20.0, latencies
+
+
+def test_keep_alive_client_hanging_up_mid_query_gets_408(service,
+                                                         http_server,
+                                                         inject_faults):
+    """A hang-up is still seen on a reused connection: the first request
+    is answered and its watcher stopped, then the client sends a second
+    one, shuts its sending side mid-query and reads the 408."""
+    body = json.dumps({"structure": "g", "query": "tc"}).encode()
+    request = (b"POST /query HTTP/1.1\r\nHost: test\r\n"
+               b"Content-Type: application/json\r\n"
+               b"Content-Length: %d\r\n\r\n" % len(body) + body)
+    with socket.create_connection(http_server, timeout=10.0) as client:
+        client.sendall(request)
+        first = b""
+        while b"\r\n\r\n" not in first:
+            first += client.recv(65536)
+        head, _, data = first.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 "), head
+        length = int(head.lower().split(b"content-length: ")[1]
+                     .split(b"\r\n")[0])
+        while len(data) < length:
+            data += client.recv(65536)
+        inject_faults(Fault("service.worker.crash", action="delay",
+                            delay_seconds=0.5))
+        client.sendall(request)
+        client.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := client.recv(65536):
+            response += chunk
+    assert response.startswith(b"HTTP/1.1 408 "), response
+
+
 # ------------------------------------------------------ the serve CLI
 
 
