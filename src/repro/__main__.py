@@ -81,7 +81,7 @@ from repro.core.errors import (
     SRLTypeError,
 )
 from repro.core.governor import Budget, CancelToken, cancel_on_signals
-from repro.core.restrictions import strictest_restriction
+from repro.core.restrictions import program_facts, strictest_for
 from repro.core.typecheck import check_program, database_types
 from repro.core.values import format_value
 
@@ -508,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.skip_checks:
             types = database_types(database)
             report = check_program(program, input_types=types)
-            restriction = strictest_restriction(program, types)
+            restriction = strictest_for(program_facts(program, types, report=report))
             if not args.quiet:
                 print(f"type:        {report.result_type}")
                 print(f"restriction: {restriction.name} "

@@ -4,7 +4,9 @@ This is a thin bridge between :mod:`repro.core.analysis` /
 :mod:`repro.core.restrictions` and the class descriptors of
 :mod:`repro.complexity.classes`: given a program (and, optionally, its input
 types), produce the machine class the syntax guarantees, together with the
-evidence (the restriction that matched and the Proposition 6.1 bound).
+evidence (the restriction that matched and the Proposition 6.1 bound).  Both
+verdicts read one :class:`~repro.core.restrictions.ProgramFacts`, so the
+program is type-checked once.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.core import Program
-from repro.core.analysis import ProgramAnalysis, analyze
-from repro.core.restrictions import BASRL, SRL, Restriction, strictest_restriction
+from repro.core.analysis import ProgramAnalysis, analysis_for
+from repro.core.restrictions import BASRL, SRL, Restriction, program_facts, strictest_for
 from repro.core.types import Type
 
 from .classes import ComplexityClass, LOGSPACE, PRIMREC, PTIME
@@ -47,8 +49,9 @@ def classify_program(program: Program,
                      input_types: Mapping[str, Type] | None = None) -> Classification:
     """Audit a program: which restriction it satisfies, which machine class
     that guarantees, and where it sits in the set-height hierarchy."""
-    analysis = analyze(program, input_types=input_types)
-    restriction = strictest_restriction(program, input_types)
+    facts = program_facts(program, input_types)
+    analysis = analysis_for(facts)
+    restriction = strictest_for(facts)
 
     machine_class: Optional[ComplexityClass]
     hierarchy: Optional[HierarchyLevel] = None

@@ -24,24 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .ast import (
-    Call,
-    ConsList,
-    EmptyList,
-    Expr,
-    ListReduce,
-    NatConst,
-    New,
-    Program,
-    SetReduce,
-    TupleExpr,
-    walk,
-)
+from .ast import Call, Expr, ListReduce, Program, SetReduce, TupleExpr, children, walk
 from .errors import SRLError
-from .typecheck import TypeChecker, TypeReport
+from .restrictions import ProgramFacts, program_facts
+from .typecheck import TypeReport
 from .types import NatType, SetType, Type, set_height
 
-__all__ = ["ProgramAnalysis", "expression_depth", "expression_width", "analyze"]
+__all__ = ["ProgramAnalysis", "expression_depth", "expression_width", "analysis_for", "analyze"]
 
 
 def expression_depth(expr: Expr, program: Program | None = None,
@@ -65,8 +54,6 @@ def expression_depth(expr: Expr, program: Program | None = None,
             (expression_depth(arg, program, _stack) for arg in expr.args), default=0
         )
         return max(body_depth, args_depth)
-    from .ast import children
-
     return max((expression_depth(child, program, _stack) for child in children(expr)),
                default=0)
 
@@ -129,33 +116,67 @@ class ProgramAnalysis:
         return "\n".join(lines)
 
 
-def _classify(set_height_value: int, uses_new: bool, uses_lists: bool,
-              has_set_of_naturals: bool, accumulators_flat: bool,
-              uses_set_reduce: bool) -> tuple[str, list[str]]:
+def analysis_for(facts: ProgramFacts) -> ProgramAnalysis:
+    """The Section 6 report for already collected :class:`ProgramFacts`.
+
+    The classification reads the same facts as the restriction rules: the
+    set-height and sets of naturals are SRL's, and an accumulator counts as
+    flat exactly when BASRL's accumulator rule holds.  So "L = BASRL" and
+    "P = SRL" agree with :func:`~repro.core.restrictions.strictest_for`.
+    """
+    expr, report = facts.expr, facts.report
+    if expr is None:
+        raise SRLError("analyze: program has no main expression")
+    if report is not None:
+        height = max((set_height(t) for t in
+                      (*facts.observed, *(facts.input_types or {}).values())), default=0)
+    else:
+        height = 1 if facts.uses_reduce else 0
+    naturals = any(isinstance(t, SetType) and isinstance(t.element, NatType)
+                   for t in facts.observed)
+    flat = facts.uses_reduce and not facts.accumulator_violations()
+
     notes: list[str] = []
-    if uses_new or uses_lists or has_set_of_naturals:
-        reasons = []
-        if uses_new:
-            reasons.append("invented values (new)")
-        if uses_lists:
-            reasons.append("lists (list-reduce / cons)")
-        if has_set_of_naturals:
-            reasons.append("sets of naturals")
-        notes.append("escapes P because of: " + ", ".join(reasons))
-        return "PrimRec (Theorem 5.2)", notes
-    if set_height_value >= 2:
-        notes.append(
-            f"set-height {set_height_value} admits {set_height_value - 1}-fold "
-            "exponential blow-up (Example 3.12 / Corollary 6.4)"
-        )
-        return f"DTIME(2_{set_height_value}#n) (Corollary 6.4)", notes
-    if not uses_set_reduce:
+    escapes = [reason for used, reason in (
+        (facts.uses_new, "invented values (new)"),
+        (facts.uses_lists, "lists (list-reduce / cons)"),
+        (naturals, "sets of naturals"),
+    ) if used]
+    if escapes:
+        notes.append("escapes P because of: " + ", ".join(escapes))
+        classification = "PrimRec (Theorem 5.2)"
+    elif height >= 2:
+        notes.append(f"set-height {height} admits {height - 1}-fold "
+                     "exponential blow-up (Example 3.12 / Corollary 6.4)")
+        classification = f"DTIME(2_{height}#n) (Corollary 6.4)"
+    elif not facts.uses_reduce:
         notes.append("no set-reduce: a quantifier-free / first-order combination")
-        return "FO (no iteration)", notes
-    if accumulators_flat:
+        classification = "FO (no iteration)"
+    elif flat:
         notes.append("every accumulator returns a flat bounded-width tuple")
-        return "L = BASRL (Theorem 4.13)", notes
-    return "P = SRL (Theorem 3.10)", notes
+        classification = "L = BASRL (Theorem 4.13)"
+    else:
+        classification = "P = SRL (Theorem 3.10)"
+
+    # The paper's width counts tuples in *non-input* sets, so the syntactic
+    # width (tuples the program constructs) is the right measure; input
+    # relation arities do not enter the bound.
+    depth = expression_depth(expr, facts.program)
+    width = expression_width(expr, facts.program)
+    return ProgramAnalysis(
+        depth=depth,
+        width=width,
+        set_height=height,
+        uses_new=facts.uses_new,
+        uses_lists=facts.uses_lists,
+        uses_naturals=facts.uses_naturals,
+        has_set_of_naturals=naturals,
+        accumulators_flat=flat,
+        time_exponent=width * depth,
+        classification=classification,
+        type_report=report,
+        notes=notes,
+    )
 
 
 def analyze(program: Program,
@@ -168,63 +189,4 @@ def analyze(program: Program,
     analysis is purely syntactic (type-derived measures fall back to
     syntactic estimates).
     """
-    expr = main if main is not None else program.main
-    if expr is None:
-        raise SRLError("analyze: program has no main expression")
-
-    depth = expression_depth(expr, program)
-    width = expression_width(expr, program)
-
-    nodes = list(walk(expr))
-    for definition in program.definitions.values():
-        nodes.extend(walk(definition.body))
-
-    uses_new = any(isinstance(node, New) for node in nodes)
-    uses_lists = any(isinstance(node, (ListReduce, ConsList, EmptyList)) for node in nodes)
-    uses_naturals = any(isinstance(node, NatConst) for node in nodes)
-    uses_set_reduce = any(isinstance(node, (SetReduce, ListReduce)) for node in nodes)
-
-    type_report: Optional[TypeReport] = None
-    set_height_value = 1 if uses_set_reduce else 0
-    has_set_of_naturals = False
-    accumulators_flat = uses_set_reduce
-    if input_types is not None:
-        try:
-            type_report = TypeChecker(program).check_expression(expr, input_types)
-        except SRLError:
-            type_report = None
-        if type_report is not None:
-            set_height_value = max(
-                type_report.max_set_height(),
-                max((set_height(t) for t in input_types.values()), default=0),
-            )
-            # The paper's width counts tuples in *non-input* sets, so the
-            # syntactic width (tuples the program constructs) is the right
-            # measure; input relation arities do not enter the bound.
-            has_set_of_naturals = any(
-                isinstance(t, SetType) and isinstance(t.element, NatType)
-                for t in type_report.observed_types
-            )
-            accumulators_flat = all(
-                set_height(t) == 0 for t in type_report.accumulator_types
-            ) and bool(type_report.accumulator_types)
-
-    classification, notes = _classify(
-        set_height_value, uses_new, uses_lists, has_set_of_naturals,
-        accumulators_flat, uses_set_reduce,
-    )
-
-    return ProgramAnalysis(
-        depth=depth,
-        width=width,
-        set_height=set_height_value,
-        uses_new=uses_new,
-        uses_lists=uses_lists,
-        uses_naturals=uses_naturals,
-        has_set_of_naturals=has_set_of_naturals,
-        accumulators_flat=accumulators_flat and uses_set_reduce,
-        time_exponent=width * depth,
-        classification=classification,
-        type_report=type_report,
-        notes=notes,
-    )
+    return analysis_for(program_facts(program, input_types, main))

@@ -17,15 +17,12 @@ operation.  Over the canonical dense universe ``{0, ..., n-1}`` (see
 * **arity ≥ 3** (and arity 0) — the tuple-set fallback: a plain set of
   tuples, the representation of last resort the plan walker degrades to.
 
-:class:`ColumnarRelation` carries one relation in whichever representation
-its arity picked, with the operator surface the plan executor needs
-(select / project / rename / natural join / semijoin / antijoin as bitset
-masks / union / difference as bitwise or / and-not / transitive closure
-over the SCC condensation, or as frontier BFS with a visited bitset when a
-governor counts its rounds).  The module-level kernels operate on
-the *raw* payloads (ints, lists of ints, sets) — they are what the
-columnar plan walker (:mod:`repro.logic.codegen`) composes into per-node
-kernels, so the boxed class never appears on the hot path.
+The module-level kernels operate on the *raw* payloads (ints, lists of
+ints, sets): semijoin / antijoin as bitset masks, union / difference as
+bitwise or / and-not, projection, transpose, composition, and transitive
+closure over the SCC condensation (or as frontier BFS with a visited
+bitset when a governor counts its rounds).  They are what the columnar plan
+walker (:mod:`repro.logic.codegen`) composes into per-node kernels.
 
 **Big universes.**  The bitmask-row encoding is dense: one Python int per
 source whose size is O(highest set bit / 8) bytes, so a sparse relation
@@ -42,10 +39,9 @@ walker calls them through its wide arity-2 representation
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "ColumnarRelation",
     "DENSE_WIDTH_THRESHOLD",
     "bits_of_unary",
     "rows_of_bits",
@@ -762,273 +758,3 @@ def reach_from_csr(offsets: Sequence[int], targets: Sequence[int], n: int,
         reached.extend(step)
         frontier = step
     return array("i", sorted(reached))
-
-
-# ------------------------------------------------------------ the boxed form
-
-
-class ColumnarRelation:
-    """One relation over the dense universe, in its arity's representation.
-
-    ``kind`` is ``"bitset"`` (arity 1), ``"csr"`` (arity 2) or ``"tuples"``
-    (arity 0 and arity ≥ 3 — the fallback representation).  The class is
-    the *boundary* form: conversions in and out, the operator surface for
-    direct use and tests.  The plan walker works on the raw
-    payloads (:attr:`bits` / :attr:`row_bits` / :attr:`rows`) through the
-    module kernels instead.
-    """
-
-    __slots__ = ("n", "arity", "kind", "_bits", "_row_bits", "_csr", "_rows")
-
-    def __init__(self, n: int, arity: int, *, bits: int | None = None,
-                 row_bits: list[int] | None = None,
-                 rows: set | None = None):
-        self.n = n
-        self.arity = arity
-        self._bits = bits
-        self._row_bits = row_bits
-        self._csr: tuple[list[int], list[int]] | None = None
-        self._rows = rows
-        if arity == 1 and bits is not None:
-            self.kind = "bitset"
-        elif arity == 2 and row_bits is not None:
-            self.kind = "csr"
-        elif rows is not None:
-            self.kind = "tuples"
-        else:
-            raise ValueError("no payload supplied for the relation's arity")
-
-    # ---------------------------------------------------------- constructors
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], arity: int, n: int
-                  ) -> "ColumnarRelation":
-        """Pick the representation by arity: bitset (1), CSR (2), tuple-set
-        fallback (0 and ≥ 3)."""
-        if arity == 1:
-            return cls(n, 1, bits=bits_of_unary(rows))
-        if arity == 2:
-            return cls(n, 2, row_bits=adjacency_of_binary(rows, n))
-        return cls(n, arity,
-                   rows={tuple(row) for row in rows if len(row) == arity})
-
-    @classmethod
-    def from_bits(cls, bits: int, n: int) -> "ColumnarRelation":
-        return cls(n, 1, bits=bits)
-
-    @classmethod
-    def from_adjacency(cls, row_bits: list[int], n: int) -> "ColumnarRelation":
-        return cls(n, 2, row_bits=row_bits)
-
-    # -------------------------------------------------------------- payloads
-
-    @property
-    def bits(self) -> int:
-        """The bit vector (arity-1 relations only)."""
-        if self.arity != 1:
-            raise TypeError(f"bits undefined for arity {self.arity}")
-        if self._bits is None:
-            self._bits = bits_of_unary(self._rows or ())
-        return self._bits
-
-    @property
-    def row_bits(self) -> list[int]:
-        """The bitmask rows (arity-2 relations only)."""
-        if self.arity != 2:
-            raise TypeError(f"row_bits undefined for arity {self.arity}")
-        if self._row_bits is None:
-            self._row_bits = adjacency_of_binary(self._rows or (), self.n)
-        return self._row_bits
-
-    def csr(self) -> tuple[list[int], list[int]]:
-        """The CSR pair ``(offsets, sorted targets)`` (arity 2; derived
-        once from the bitmask rows and cached)."""
-        if self._csr is None:
-            self._csr = csr_of_adjacency(self.row_bits)
-        return self._csr
-
-    def to_rows(self) -> set[tuple[int, ...]]:
-        """The relation as a set of tuples (whatever the representation)."""
-        if self.kind == "bitset":
-            return rows_of_bits(self._bits)
-        if self.kind == "csr":
-            return rows_of_adjacency(self._row_bits)
-        return set(self._rows)
-
-    # -------------------------------------------------------------- protocol
-
-    def __len__(self) -> int:
-        if self.kind == "bitset":
-            return self._bits.bit_count()
-        if self.kind == "csr":
-            return sum(row.bit_count() for row in self._row_bits)
-        return len(self._rows)
-
-    def __contains__(self, row: object) -> bool:
-        if not isinstance(row, tuple) or len(row) != self.arity:
-            return False
-        if self.kind == "bitset":
-            value = row[0]
-            return 0 <= value < self.n and bool((self._bits >> value) & 1)
-        if self.kind == "csr":
-            source, target = row
-            return (0 <= source < self.n and 0 <= target < self.n
-                    and bool((self._row_bits[source] >> target) & 1))
-        return row in self._rows
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(sorted(self.to_rows()))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ColumnarRelation):
-            return self.arity == other.arity and self.to_rows() == other.to_rows()
-        if isinstance(other, (set, frozenset)):
-            return self.to_rows() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ColumnarRelation(n={self.n}, arity={self.arity}, "
-                f"kind={self.kind!r}, rows={len(self)})")
-
-    # ------------------------------------------------------ operator surface
-
-    def _same_shape(self, other: "ColumnarRelation") -> None:
-        if self.arity != other.arity or self.n != other.n:
-            raise ValueError(
-                f"shape mismatch: arity {self.arity}/{other.arity}, "
-                f"n {self.n}/{other.n}"
-            )
-
-    def union(self, other: "ColumnarRelation") -> "ColumnarRelation":
-        """Set union — bitwise OR in the columnar representations."""
-        self._same_shape(other)
-        if self.kind == "bitset":
-            return ColumnarRelation(self.n, 1, bits=self.bits | other.bits)
-        if self.kind == "csr":
-            return ColumnarRelation(
-                self.n, 2, row_bits=or_rows([self.row_bits, other.row_bits]))
-        return ColumnarRelation(self.n, self.arity,
-                                rows=self.to_rows() | other.to_rows())
-
-    def difference(self, other: "ColumnarRelation") -> "ColumnarRelation":
-        """Set difference — bitwise AND-NOT in the columnar representations
-        (with a full-domain left operand this is the complement kernel)."""
-        self._same_shape(other)
-        if self.kind == "bitset":
-            return ColumnarRelation(self.n, 1, bits=self.bits & ~other.bits)
-        if self.kind == "csr":
-            return ColumnarRelation(
-                self.n, 2, row_bits=andnot_rows(self.row_bits, other.row_bits))
-        return ColumnarRelation(self.n, self.arity,
-                                rows=self.to_rows() - other.to_rows())
-
-    def intersection(self, other: "ColumnarRelation") -> "ColumnarRelation":
-        """Set intersection — bitwise AND."""
-        self._same_shape(other)
-        if self.kind == "bitset":
-            return ColumnarRelation(self.n, 1, bits=self.bits & other.bits)
-        if self.kind == "csr":
-            return ColumnarRelation(
-                self.n, 2, row_bits=and_rows(self.row_bits, other.row_bits))
-        return ColumnarRelation(self.n, self.arity,
-                                rows=self.to_rows() & other.to_rows())
-
-    def complement(self) -> "ColumnarRelation":
-        """The active-domain complement ``universe^arity`` minus this
-        relation — the inductive-counting workhorse, nearly free on
-        bitsets."""
-        full = (1 << self.n) - 1
-        if self.kind == "bitset":
-            return ColumnarRelation(self.n, 1, bits=full & ~self.bits)
-        if self.kind == "csr":
-            return ColumnarRelation(
-                self.n, 2, row_bits=[full & ~row for row in self.row_bits])
-        from itertools import product
-        everything = set(product(range(self.n), repeat=self.arity))
-        return ColumnarRelation(self.n, self.arity,
-                                rows=everything - self.to_rows())
-
-    def project(self, positions: Sequence[int]) -> "ColumnarRelation":
-        """Projection onto the given column positions (duplicates collapse,
-        order applies — a full-width permutation is a rename)."""
-        positions = tuple(positions)
-        if self.kind == "csr":
-            if positions == (0,):
-                return ColumnarRelation(self.n, 1, bits=proj_source(self.row_bits))
-            if positions == (1,):
-                return ColumnarRelation(self.n, 1, bits=proj_target(self.row_bits))
-            if positions == (1, 0):
-                return ColumnarRelation(
-                    self.n, 2, row_bits=transpose(self.row_bits, self.n))
-            if positions == (0, 1):
-                return ColumnarRelation(self.n, 2, row_bits=list(self.row_bits))
-        if self.kind == "bitset" and positions == (0,):
-            return ColumnarRelation(self.n, 1, bits=self.bits)
-        rows = {tuple(row[i] for i in positions) for row in self.to_rows()}
-        return ColumnarRelation.from_rows(rows, len(positions), self.n)
-
-    def rename(self, permutation: Sequence[int]) -> "ColumnarRelation":
-        """Pure column permutation (arity-2 reversal is a transpose)."""
-        permutation = tuple(permutation)
-        if sorted(permutation) != list(range(self.arity)):
-            raise ValueError(
-                f"rename expects a permutation of range({self.arity}), "
-                f"got {permutation}")
-        return self.project(permutation)
-
-    def select(self, predicate: Callable[[tuple], bool]) -> "ColumnarRelation":
-        """The rows satisfying ``predicate`` (generic path; the plan
-        walker resolves comparison selections to masks instead)."""
-        return ColumnarRelation.from_rows(
-            {row for row in self.to_rows() if predicate(row)},
-            self.arity, self.n)
-
-    def semijoin(self, other: "ColumnarRelation", on: int | None = None
-                 ) -> "ColumnarRelation":
-        """The rows with a match in ``other`` — bitset masks.
-
-        For two same-arity relations this is intersection.  For an arity-2
-        left against an arity-1 right, ``on`` picks the matched column
-        (0 = source, 1 = target).
-        """
-        if self.arity == other.arity:
-            return self.intersection(other)
-        if self.kind == "csr" and other.kind == "bitset":
-            if on == 0:
-                return ColumnarRelation(
-                    self.n, 2, row_bits=mask_rows_source(self.row_bits, other.bits))
-            if on == 1:
-                return ColumnarRelation(
-                    self.n, 2, row_bits=mask_rows_target(self.row_bits, other.bits))
-        raise ValueError("unsupported semijoin shape; use natural_join")
-
-    def antijoin(self, other: "ColumnarRelation", on: int | None = None
-                 ) -> "ColumnarRelation":
-        """The rows with *no* match in ``other`` — the complement mask."""
-        if self.arity == other.arity:
-            return self.difference(other)
-        if self.kind == "csr" and other.kind == "bitset":
-            full = (1 << self.n) - 1
-            inverted = ColumnarRelation(self.n, 1, bits=full & ~other.bits)
-            return self.semijoin(inverted, on=on)
-        raise ValueError("unsupported antijoin shape; use natural_join")
-
-    def compose(self, other: "ColumnarRelation") -> "ColumnarRelation":
-        """``{(x, z) | ∃y: self(x, y) ∧ other(y, z)}`` — the natural-join-
-        then-project pattern of ``exists``, as bitwise ORs."""
-        if self.arity != 2 or other.arity != 2:
-            raise TypeError("compose requires two binary relations")
-        return ColumnarRelation(
-            self.n, 2, row_bits=compose(self.row_bits, other.row_bits))
-
-    def closure(self, deterministic: bool = False,
-                governor=None) -> "ColumnarRelation":
-        """The reflexive transitive closure (arity 2), by
-        :func:`closure_adjacency`."""
-        if self.arity != 2:
-            raise TypeError("closure requires a binary relation")
-        return ColumnarRelation(
-            self.n, 2,
-            row_bits=closure_adjacency(self.row_bits, self.n,
-                                       deterministic=deterministic,
-                                       governor=governor))

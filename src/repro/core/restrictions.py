@@ -1,6 +1,7 @@
 """The family of syntactic restrictions studied by the paper.
 
-Each restriction is a static checker over the (typed) AST:
+Each restriction is a predicate over one set of :class:`ProgramFacts` — a
+single walk of the program plus at most one type check:
 
 ========================  ====================================================
 Restriction                Paper characterisation
@@ -36,16 +37,19 @@ from .ast import (
     Expr,
     Insert,
     ListReduce,
+    NatConst,
     New,
     Program,
     SetReduce,
     walk,
 )
 from .errors import RestrictionViolation, SRLError
-from .typecheck import TypeChecker
+from .typecheck import TypeChecker, TypeReport
 from .types import NatType, SetType, Type, list_height, set_height
 
 __all__ = [
+    "ProgramFacts",
+    "program_facts",
     "Restriction",
     "UNRESTRICTED_SRL",
     "SRL",
@@ -57,8 +61,94 @@ __all__ = [
     "ALL_RESTRICTIONS",
     "check",
     "assert_member",
+    "strictest_for",
     "strictest_restriction",
 ]
+
+
+@dataclass(frozen=True)
+class ProgramFacts:
+    """What every classifier reads off a program: one walk over main and
+    every definition, plus at most one type check of main.
+
+    Three typing cases decide the type-derived rules:
+
+    * **typed** (``report`` set): set-heights, sets of naturals and
+      list-heights come from the observed types, and BASRL asks every
+      accumulator type for set-height 0.
+    * **untyped** (``input_types is None``): no type check runs; SRL and LRL
+      apply only their syntactic rules, and BASRL's accumulator rule is
+      syntactic — no ``insert`` inside a set-reduce accumulator body.
+    * **failed type check** (input types given, but checking raised or
+      there is no main): SRL and LRL fall back to their syntactic rules,
+      while BASRL reports that it could not inspect the accumulators, so
+      such a program is at best SRL.
+    """
+
+    program: Program
+    expr: Optional[Expr]
+    input_types: Optional[Mapping[str, Type]]
+    report: Optional[TypeReport]
+    uses_new: bool
+    uses_lists: bool
+    uses_naturals: bool
+    uses_reduce: bool
+    set_reduces: tuple[SetReduce, ...]
+    main_calls: frozenset[str]  # calls in main of names the program does not define
+    main_extensions: frozenset[str]  # New / list node kinds in main, for SRFO
+    observed: frozenset[Type]  # distinct types the type check assigned
+
+    def accumulator_violations(self) -> list[str]:
+        """BASRL's accumulator rule (empty when every accumulator is flat)."""
+        if self.report is not None:
+            return [f"an accumulator returns {t} (set-height {set_height(t)}); "
+                    "BASRL accumulators must return flat bounded-width tuples"
+                    for t in self.report.accumulator_types if set_height(t) != 0]
+        if self.input_types is not None:
+            return ["could not type-check the program to inspect accumulators"]
+        if any(isinstance(sub, Insert)
+               for node in self.set_reduces for sub in walk(node.acc.body)):
+            return ["an accumulator function inserts into a set; BASRL "
+                    "accumulators must return flat bounded-width tuples"]
+        return []
+
+
+_LIST_NODES = (ListReduce, ConsList, EmptyList)
+
+
+def program_facts(program: Program, input_types: Mapping[str, Type] | None = None,
+                  main: Expr | None = None,
+                  report: TypeReport | None = None) -> ProgramFacts:
+    """Collect the facts for ``main`` (default ``program.main``) and every
+    definition.  A caller that already type-checked main against
+    ``input_types`` passes its ``report`` and no second check runs."""
+    expr = main if main is not None else program.main
+    main_nodes = list(walk(expr)) if expr is not None else []
+    nodes = list(main_nodes)
+    for definition in program.definitions.values():
+        nodes.extend(walk(definition.body))
+    kinds = {type(node) for node in nodes}
+    if report is None and input_types is not None and expr is not None:
+        try:
+            report = TypeChecker(program).check_expression(expr, input_types)
+        except SRLError:
+            pass
+    return ProgramFacts(
+        program=program,
+        expr=expr,
+        input_types=input_types,
+        report=report,
+        uses_new=New in kinds,
+        uses_lists=any(kind in kinds for kind in _LIST_NODES),
+        uses_naturals=NatConst in kinds,
+        uses_reduce=SetReduce in kinds or ListReduce in kinds,
+        set_reduces=tuple(node for node in nodes if isinstance(node, SetReduce)),
+        main_calls=frozenset(node.name for node in main_nodes if isinstance(node, Call)
+                             and node.name not in program.definitions),
+        main_extensions=frozenset(type(node).__name__ for node in main_nodes
+                                  if isinstance(node, (New, *_LIST_NODES))),
+        observed=frozenset(report.observed_types) if report is not None else frozenset(),
+    )
 
 
 @dataclass(frozen=True)
@@ -68,13 +158,13 @@ class Restriction:
     name: str
     complexity_class: str
     paper_reference: str
-    checker: Callable[[Program, Optional[Mapping[str, Type]], Optional[Expr]], list[str]]
+    rule: Callable[[ProgramFacts], list[str]]
 
     def check(self, program: Program,
               input_types: Mapping[str, Type] | None = None,
               main: Expr | None = None) -> list[str]:
         """Return the list of violations (empty when the program belongs)."""
-        return self.checker(program, input_types, main)
+        return self.rule(program_facts(program, input_types, main))
 
     def is_member(self, program: Program,
                   input_types: Mapping[str, Type] | None = None,
@@ -89,187 +179,71 @@ class Restriction:
             raise RestrictionViolation(self.name, violations)
 
 
-def _all_nodes(program: Program, main: Expr | None):
-    expr = main if main is not None else program.main
-    if expr is not None:
-        yield from walk(expr)
-    for definition in program.definitions.values():
-        yield from walk(definition.body)
+# ------------------------------------------------------------------ rules
 
 
-def _observed_types(program: Program, input_types: Mapping[str, Type] | None,
-                    main: Expr | None):
-    """Type-check and return (observed types, accumulator types), or
-    (None, None) when no input types were supplied or checking failed."""
-    expr = main if main is not None else program.main
-    if input_types is None or expr is None:
-        return None, None
-    checker = TypeChecker(program)
-    try:
-        report = checker.check_expression(expr, input_types)
-    except SRLError:
-        return None, None
-    return report.observed_types, report.accumulator_types
+def _srl_rule(facts: ProgramFacts) -> list[str]:
+    violations: list[str] = []
+    if facts.uses_new:
+        violations.append("uses new (invented values), which is outside SRL")
+    if facts.uses_lists:
+        violations.append("uses lists, which are outside SRL (that is LRL)")
+    for t in facts.observed:
+        if set_height(t) > 1:
+            violations.append(f"type {t} has set-height {set_height(t)} > 1 (Definition 2.2)")
+        if isinstance(t, SetType) and isinstance(t.element, NatType):
+            violations.append(
+                f"type {t} is a set of naturals, which lets SRL escape P (Section 5)"
+            )
+    for name, t in (facts.input_types or {}).items():
+        if set_height(t) > 1:
+            violations.append(f"input {name} has type {t} of set-height {set_height(t)} > 1")
+    return sorted(set(violations))
 
 
-# --------------------------------------------------------------- checkers
+def _basrl_rule(facts: ProgramFacts) -> list[str]:
+    return sorted(set(_srl_rule(facts) + facts.accumulator_violations()))
 
 
-def _check_unrestricted(program: Program, input_types, main) -> list[str]:
+_SRFO_ALLOWED_CALLS = frozenset({"forall", "forsome", "not", "and", "or", "member",
+                                 "union", "is-empty", "singleton"})
+
+
+def _srfo_rule(operator_name: str):
+    allowed = _SRFO_ALLOWED_CALLS | {operator_name.lower()}
+
+    def rule(facts: ProgramFacts) -> list[str]:
+        violations = _srl_rule(facts)
+        violations += [f"call of '{name}' is outside the SRFO+{operator_name} fragment"
+                       for name in facts.main_calls - allowed]
+        violations += [f"node {kind} is outside the SRFO+{operator_name} fragment"
+                       for kind in facts.main_extensions]
+        return sorted(set(violations))
+
+    return rule
+
+
+def _srl_new_rule(facts: ProgramFacts) -> list[str]:
+    if facts.uses_lists:
+        return ["uses lists; SRL+new is the set-based extension (use LRL)"]
     return []
 
 
-def _check_srl(program: Program, input_types, main) -> list[str]:
-    violations: list[str] = []
-    for node in _all_nodes(program, main):
-        if isinstance(node, New):
-            violations.append("uses new (invented values), which is outside SRL")
-        if isinstance(node, (ListReduce, ConsList, EmptyList)):
-            violations.append("uses lists, which are outside SRL (that is LRL)")
-
-    observed, _ = _observed_types(program, input_types, main)
-    if observed is not None:
-        for t in observed:
-            if set_height(t) > 1:
-                violations.append(
-                    f"type {t} has set-height {set_height(t)} > 1 (Definition 2.2)"
-                )
-            if isinstance(t, SetType) and isinstance(t.element, NatType):
-                violations.append(
-                    f"type {t} is a set of naturals, which lets SRL escape P (Section 5)"
-                )
-    if input_types is not None:
-        for name, t in input_types.items():
-            if set_height(t) > 1:
-                violations.append(
-                    f"input {name} has type {t} of set-height {set_height(t)} > 1"
-                )
+def _lrl_rule(facts: ProgramFacts) -> list[str]:
+    violations = [f"type {t} has list-height {list_height(t)} > 1"
+                  for t in facts.observed if list_height(t) > 1]
+    if facts.uses_new:
+        violations.append("uses new; LRL is the list-based extension without invention")
     return sorted(set(violations))
 
 
-def _check_basrl(program: Program, input_types, main) -> list[str]:
-    violations = _check_srl(program, input_types, main)
-    _, accumulators = _observed_types(program, input_types, main)
-    if accumulators is None:
-        if input_types is not None:
-            violations.append("could not type-check the program to inspect accumulators")
-        else:
-            # Purely syntactic fallback: any insert inside an acc lambda means
-            # the accumulator builds a set.
-            for node in _all_nodes(program, main):
-                if isinstance(node, SetReduce):
-                    if any(isinstance(sub, Insert) for sub in walk(node.acc.body)):
-                        violations.append(
-                            "an accumulator function inserts into a set; BASRL "
-                            "accumulators must return flat bounded-width tuples"
-                        )
-    else:
-        for t in accumulators:
-            if set_height(t) != 0:
-                violations.append(
-                    f"an accumulator returns {t} (set-height {set_height(t)}); "
-                    "BASRL accumulators must return flat bounded-width tuples"
-                )
-    return sorted(set(violations))
-
-
-_SRFO_ALLOWED_CALLS_TC = {"forall", "forsome", "not", "and", "or", "tc", "member",
-                          "union", "is-empty", "singleton"}
-_SRFO_ALLOWED_CALLS_DTC = {"forall", "forsome", "not", "and", "or", "dtc", "member",
-                           "union", "is-empty", "singleton"}
-
-
-def _check_srfo(allowed_calls: set[str], operator_name: str):
-    def checker(program: Program, input_types, main) -> list[str]:
-        violations = _check_srl(program, input_types, main)
-        expr = main if main is not None else program.main
-        if expr is None:
-            return violations
-        for node in walk(expr):
-            if isinstance(node, Call) and node.name not in allowed_calls:
-                if node.name in program.definitions:
-                    continue  # user-defined abbreviations are inlined conceptually
-                violations.append(
-                    f"call of '{node.name}' is outside the SRFO+{operator_name} fragment"
-                )
-            if isinstance(node, (New, ListReduce, ConsList, EmptyList)):
-                violations.append(
-                    f"node {type(node).__name__} is outside the SRFO+{operator_name} fragment"
-                )
-        return sorted(set(violations))
-
-    return checker
-
-
-def _check_srl_new(program: Program, input_types, main) -> list[str]:
-    violations: list[str] = []
-    for node in _all_nodes(program, main):
-        if isinstance(node, (ListReduce, ConsList, EmptyList)):
-            violations.append("uses lists; SRL+new is the set-based extension (use LRL)")
-    return sorted(set(violations))
-
-
-def _check_lrl(program: Program, input_types, main) -> list[str]:
-    violations: list[str] = []
-    for node in _all_nodes(program, main):
-        if isinstance(node, New):
-            violations.append("uses new; LRL is the list-based extension without invention")
-    observed, _ = _observed_types(program, input_types, main)
-    if observed is not None:
-        for t in observed:
-            if list_height(t) > 1:
-                violations.append(f"type {t} has list-height {list_height(t)} > 1")
-    return sorted(set(violations))
-
-
-UNRESTRICTED_SRL = Restriction(
-    name="unrestricted SRL",
-    complexity_class="PrimRec",
-    paper_reference="Theorem 5.2",
-    checker=_check_unrestricted,
-)
-
-SRL = Restriction(
-    name="SRL",
-    complexity_class="P",
-    paper_reference="Theorem 3.10",
-    checker=_check_srl,
-)
-
-BASRL = Restriction(
-    name="BASRL",
-    complexity_class="L",
-    paper_reference="Theorem 4.13",
-    checker=_check_basrl,
-)
-
-SRFO_TC = Restriction(
-    name="SRFO+TC",
-    complexity_class="NL",
-    paper_reference="Corollary 4.2",
-    checker=_check_srfo(_SRFO_ALLOWED_CALLS_TC, "TC"),
-)
-
-SRFO_DTC = Restriction(
-    name="SRFO+DTC",
-    complexity_class="L",
-    paper_reference="Corollary 4.4",
-    checker=_check_srfo(_SRFO_ALLOWED_CALLS_DTC, "DTC"),
-)
-
-SRL_NEW = Restriction(
-    name="SRL+new",
-    complexity_class="PrimRec",
-    paper_reference="Theorem 5.2",
-    checker=_check_srl_new,
-)
-
-LRL = Restriction(
-    name="LRL",
-    complexity_class="PrimRec",
-    paper_reference="Corollary 5.5",
-    checker=_check_lrl,
-)
+UNRESTRICTED_SRL = Restriction("unrestricted SRL", "PrimRec", "Theorem 5.2", lambda facts: [])
+SRL = Restriction("SRL", "P", "Theorem 3.10", _srl_rule)
+BASRL = Restriction("BASRL", "L", "Theorem 4.13", _basrl_rule)
+SRFO_TC = Restriction("SRFO+TC", "NL", "Corollary 4.2", _srfo_rule("TC"))
+SRFO_DTC = Restriction("SRFO+DTC", "L", "Corollary 4.4", _srfo_rule("DTC"))
+SRL_NEW = Restriction("SRL+new", "PrimRec", "Theorem 5.2", _srl_new_rule)
+LRL = Restriction("LRL", "PrimRec", "Corollary 5.5", _lrl_rule)
 
 ALL_RESTRICTIONS = (SRFO_DTC, SRFO_TC, BASRL, SRL, SRL_NEW, LRL, UNRESTRICTED_SRL)
 
@@ -288,17 +262,23 @@ def assert_member(restriction: Restriction, program: Program,
     restriction.assert_member(program, input_types, main)
 
 
-def strictest_restriction(program: Program,
-                          input_types: Mapping[str, Type] | None = None,
-                          main: Expr | None = None) -> Restriction:
-    """The lowest-complexity restriction the program satisfies.
+def strictest_for(facts: ProgramFacts) -> Restriction:
+    """The lowest-complexity restriction whose rule ``facts`` satisfy.
 
     Checked from the most restrictive class upwards: BASRL (L), SRL (P),
     SRL+new / LRL (PrimRec), unrestricted.  The SRFO fragments are skipped
     here because membership depends on which abbreviations the caller deems
     primitive; check them explicitly when needed.
     """
-    for restriction in (BASRL, SRL, SRL_NEW, LRL, UNRESTRICTED_SRL):
-        if restriction.is_member(program, input_types, main):
+    for restriction in (BASRL, SRL, SRL_NEW, LRL):
+        if not restriction.rule(facts):
             return restriction
     return UNRESTRICTED_SRL
+
+
+def strictest_restriction(program: Program,
+                          input_types: Mapping[str, Type] | None = None,
+                          main: Expr | None = None) -> Restriction:
+    """The lowest-complexity restriction the program satisfies (see
+    :func:`strictest_for`)."""
+    return strictest_for(program_facts(program, input_types, main))

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.complexity import classify_program
 from repro.core import ATOM, Program, analyze, parse_expression, parse_program, set_of, tuple_of
 from repro.core.analysis import expression_depth, expression_width
 from repro.core.errors import SRLError
+from repro.core.restrictions import BASRL, SRL, strictest_restriction
 
 
 COPY = "(set-reduce S (lambda (x e) x) (lambda (a r) (insert a r)) emptyset emptyset)"
@@ -122,3 +124,34 @@ class TestClassification:
         # for a program that uses set-reduce.
         assert analysis.set_height == 1
         assert analysis.type_report is None
+
+    def test_untyped_set_building_accumulator_is_not_logspace(self):
+        # Without input types the accumulator rule is BASRL's syntactic one:
+        # an insert inside an accumulator body builds a set, so COPY is P,
+        # exactly as strictest_restriction says.
+        program = Program(main=parse_expression(COPY))
+        analysis = analyze(program)
+        assert not analysis.accumulators_flat
+        assert analysis.classification == "P = SRL (Theorem 3.10)"
+        assert strictest_restriction(program) is SRL
+        summary = classify_program(program).summary()
+        assert "P = SRL" in summary and "L = BASRL" not in summary
+
+    def test_untyped_flat_accumulator_stays_logspace(self):
+        program = Program(main=parse_expression(
+            "(set-reduce S (lambda (x e) x) (lambda (a r) (tuple a)) (tuple (atom 0)) emptyset)"))
+        analysis = analyze(program)
+        assert analysis.accumulators_flat
+        assert analysis.classification == "L = BASRL (Theorem 4.13)"
+        assert strictest_restriction(program) is BASRL
+
+    def test_failed_type_check_is_not_logspace(self):
+        # Input types are given but the program does not type-check: BASRL
+        # cannot inspect the accumulators, so neither can analyze.
+        program = Program(main=parse_expression(
+            "(set-reduce (insert (atom 1) (atom 2)) (lambda (x e) x) "
+            "(lambda (a r) (tuple a)) (tuple (atom 0)) emptyset)"))
+        analysis = analyze(program, input_types={"S": set_of(ATOM)})
+        assert analysis.type_report is None
+        assert not analysis.accumulators_flat
+        assert analysis.classification == "P = SRL (Theorem 3.10)"

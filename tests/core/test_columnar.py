@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.columnar import (
-    ColumnarRelation,
     adjacency_of_binary,
     and_rows,
     andnot_rows,
@@ -105,6 +104,11 @@ class TestKernelsAgainstSets:
             {(x, y) for x, y in rows if (x,) in keep}
         assert rows_of_adjacency(mask_rows_target(adj, bits)) == \
             {(x, y) for x, y in rows if (y,) in keep}
+        # Antijoin is the same mask with the complement bitset.
+        assert rows_of_adjacency(mask_rows_source(adj, ~bits & ((1 << self.N) - 1))) == \
+            {(x, y) for x, y in rows if (x,) not in keep}
+        assert rows_of_adjacency(mask_rows_target(adj, ~bits & ((1 << self.N) - 1))) == \
+            {(x, y) for x, y in rows if (y,) not in keep}
         assert rows_of_bits(proj_source(adj)) == {(x,) for x, _ in rows}
         assert rows_of_bits(proj_target(adj)) == {(y,) for _, y in rows}
 
@@ -176,56 +180,3 @@ def test_closure_respects_round_budget():
     governor = Governor(Budget(max_fixpoint_rounds=3))
     with pytest.raises(ResourceLimitExceeded):
         closure_adjacency(adj, n, governor=governor)
-
-
-class TestColumnarRelation:
-    def test_representation_choice(self):
-        n = 9
-        assert ColumnarRelation.from_rows({(1,)}, 1, n).kind == "bitset"
-        assert ColumnarRelation.from_rows({(1, 2)}, 2, n).kind == "csr"
-        assert ColumnarRelation.from_rows({(1, 2, 3)}, 3, n).kind == "tuples"
-
-    def test_set_protocol(self):
-        r = ColumnarRelation.from_rows({(2, 1), (0, 3)}, 2, 5)
-        assert len(r) == 2
-        assert (2, 1) in r and (1, 2) not in r
-        assert list(r) == [(0, 3), (2, 1)]  # sorted iteration
-        assert r == {(2, 1), (0, 3)}
-
-    def test_boolean_algebra_and_complement(self):
-        n = 7
-        a = ColumnarRelation.from_rows({(1,), (3,), (5,)}, 1, n)
-        b = ColumnarRelation.from_rows({(3,), (6,)}, 1, n)
-        assert set(a.union(b)) == {(1,), (3,), (5,), (6,)}
-        assert set(a.difference(b)) == {(1,), (5,)}
-        assert set(a.intersection(b)) == {(3,)}
-        assert set(a.complement()) == {(0,), (2,), (4,), (6,)}
-        binary = ColumnarRelation.from_rows({(0, 1)}, 2, 3)
-        assert set(binary.complement()) == \
-            {(x, y) for x in range(3) for y in range(3)} - {(0, 1)}
-
-    def test_semijoins(self):
-        n = 6
-        edges = ColumnarRelation.from_rows(
-            {(0, 1), (1, 2), (4, 5)}, 2, n)
-        marked = ColumnarRelation.from_rows({(1,), (5,)}, 1, n)
-        assert set(edges.semijoin(marked, on=0)) == {(1, 2)}
-        assert set(edges.semijoin(marked, on=1)) == {(0, 1), (4, 5)}
-        assert set(edges.antijoin(marked, on=0)) == {(0, 1), (4, 5)}
-        assert set(edges.antijoin(marked, on=1)) == {(1, 2)}
-
-    def test_project_rename_select(self):
-        r = ColumnarRelation.from_rows({(0, 2), (1, 2)}, 2, 4)
-        assert set(r.project((0,))) == {(0,), (1,)}
-        assert set(r.project((1,))) == {(2,)}
-        assert set(r.project((1, 0))) == {(2, 0), (2, 1)}
-        assert set(r.rename((1, 0))) == {(2, 0), (2, 1)}
-        assert set(r.select(lambda row: row[0] > 0)) == {(1, 2)}
-
-    def test_closure_and_compose(self):
-        path = ColumnarRelation.from_rows(
-            {(0, 1), (1, 2), (2, 3)}, 2, 4)
-        closed = path.closure()
-        assert (0, 3) in closed and (3, 0) not in closed
-        assert (2, 2) in closed  # reflexive
-        assert set(path.compose(path)) == {(0, 2), (1, 3)}
