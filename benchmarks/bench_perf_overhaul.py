@@ -2,8 +2,8 @@
 
 Unlike the theorem experiments (E1–E10), this module benchmarks the
 *interpreter itself*: each test times an identical workload on the seed
-implementation (via :func:`repro.core.reference.legacy_mode` /
-``memoize=False``, which re-enable the seed's uncached code paths) and on
+implementation (via ``seed_values.seed_values``, which installs the seed's
+uncached value algorithms for one block, or ``memoize=False``) and on
 the optimized one, asserts the optimized run is at least ``TARGET_SPEEDUP``
 times faster, and cross-checks that both produce *exactly* the same value.
 
@@ -65,7 +65,7 @@ import time
 import pytest
 
 from repro.core import Session, run_program
-from repro.core.reference import legacy_mode, value_sort_reference
+from repro.core.reference import value_sort_reference
 from repro.core.values import make_set, make_tuple, Atom, value_sort
 from repro.logic.eval import ModelChecker, define_relation
 from repro.logic.formula import LFPAtom, TCAtom, and_, aux, eq, exists, or_, rel, var
@@ -90,6 +90,7 @@ from repro.structures import (
     random_alternating_graph,
     random_graph,
 )
+from seed_values import production_bodies, seed_values
 
 #: The acceptance bar of the PR 1 perf-overhaul issue (seed vs optimized).
 TARGET_SPEEDUP = 10.0
@@ -197,16 +198,18 @@ def test_powerset_example_3_12_speedup(table, smoke):
         return run_program(program, database)
 
     def seed():
-        with legacy_mode():
+        with seed_values():
             return run_program(program, database)
 
+    production = production_bodies()
     fast_result = optimized()
-    with legacy_mode():
-        slow_result = run_program(program, database)
+    slow_result = seed()
+    assert production_bodies() == production
     assert len(fast_result) == 2 ** size
     assert fast_result == slow_result
 
     seed_seconds = _best_of(seed, repeats=1)
+    assert production_bodies() == production
     optimized_seconds = _best_of(optimized, repeats=3)
     speedup = _record("powerset_example_3_12", seed_seconds, optimized_seconds,
                       {"set_size": size}, table)

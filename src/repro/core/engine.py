@@ -17,9 +17,10 @@ order, and runs it on one of three interchangeable backends:
     — the reference operational semantics, with per-node step counting.
 
 ``reference``
-    The interpreter running on the seed's uncached value algorithms
-    (:func:`repro.core.reference.legacy_mode`).  Exists purely as a
-    differential/benchmark baseline.
+    The oracle bundle: the same interpreter, but with naive fixed points
+    (:attr:`Session.seminaive`), tuple-at-a-time logic
+    (:attr:`Session.logic_backend`) and no plan optimizer
+    (:attr:`Session.logic_optimize`).  Exists as a differential baseline.
 
 All three agree on values and on the semantically determined counters
 (``inserts``, reduce iterations, ``function_calls``, ``new_values``, peak
@@ -48,7 +49,7 @@ from .compiler import CompiledProgram
 from .environment import Database
 from .errors import InvalidDatabaseError, SRLCompilationError
 from .evaluator import EvaluationLimits, EvaluationStats, Evaluator
-from .governor import Budget
+from .governor import Budget, DegradationEvent
 from .relalg import (
     IndexedRelation,
     naive_closure,
@@ -141,9 +142,10 @@ class Session:
         # Explicit logic-layer strategy; ``None`` derives it from the
         # engine backend (see :attr:`logic_backend`).
         self._logic_backend_override = logic_backend
-        #: The session's degradation audit log: every time the logic layer
-        #: dropped a rung (optimized plan -> raw plan -> tuple oracle, or
-        #: skipped a memo store), a
+        #: The session's degradation audit log: every time the compiler
+        #: rejected the program (the run falls back to the interpreter) or
+        #: the logic layer dropped a rung (optimized plan -> raw plan ->
+        #: tuple oracle, or skipped a memo store), a
         #: :class:`~repro.core.governor.DegradationEvent` lands here.
         self.degradations: list = []
         self.stats = EvaluationStats()
@@ -340,8 +342,10 @@ class Session:
         if fresh:
             try:
                 self._compiled = CompiledProgram(self.program, main=main)
-            except SRLCompilationError:
+            except SRLCompilationError as error:
                 self._compiled = None
+                self.degradations.append(
+                    DegradationEvent("compile", "interp", repr(error)))
             self._compiled_key = key
         return self._compiled
 
@@ -369,10 +373,6 @@ class Session:
             return compiled.call(name, *args, database=database,
                                  limits=self.limits, atom_order=order,
                                  stats=stats, governor=governor)
-        if self.backend == "reference":
-            from .reference import legacy_mode
-            with legacy_mode():
-                return self._run_interp(mode, database, main, order, name, args)
         return self._run_interp(mode, database, main, order, name, args)
 
     def _run_interp(self, mode, database, main, order, name, args):

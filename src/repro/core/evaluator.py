@@ -71,7 +71,6 @@ from .values import (
     SRLSet,
     SRLTuple,
     Value,
-    caches_enabled,
     max_atom_rank,
     value_equal,
     value_key,
@@ -293,7 +292,7 @@ class Evaluator:
         source = self.evaluate(expr.source, env)
         if not isinstance(source, SRLSet):
             raise SRLRuntimeError(f"choose applied to a non-set: {source!r}")
-        if self.atom_order is None and caches_enabled():
+        if self.atom_order is None:
             return source.choose()  # O(1): the canonical minimum is element 0
         elements = self._ordered_elements(source)
         if not elements:
@@ -304,7 +303,7 @@ class Evaluator:
         source = self.evaluate(expr.source, env)
         if not isinstance(source, SRLSet):
             raise SRLRuntimeError(f"rest applied to a non-set: {source!r}")
-        if self.atom_order is None and caches_enabled():
+        if self.atom_order is None:
             return source.rest()  # O(n) slice, no re-sort
         elements = self._ordered_elements(source)
         if not elements:

@@ -1,42 +1,41 @@
-"""Seed-equivalent reference implementations, kept for differential testing
-and for the perf-trajectory benchmarks.
+"""Pure reference implementations of the value operations, kept as test
+oracles.
 
-The optimized value layer (cached canonical keys, linear-merge union,
-sorted-input detection — see DESIGN.md) must agree *exactly* with the
-original uncached algorithms.  This module keeps those originals around in
-two forms:
+The value layer (cached canonical keys, linear-merge union, sorted-input
+detection, memoized sizes — see DESIGN.md, "Caching architecture") must
+agree *exactly* with straightforward recomputations from the definitions.
+Every key and size here is recomputed from scratch on every call, with no
+memoization anywhere:
 
-* :func:`value_key_reference` / :func:`value_sort_reference` — the seed's
-  recursive key computation, recomputed from scratch on every call, with no
-  memoization anywhere.  Property tests compare the cached keys against
-  these on randomly generated nested values and random ``atom_order``
-  permutations.
+* :func:`value_key_reference` / :func:`value_sort_reference` — the
+  recursive canonical key and the sort it induces, also under a permuted
+  ``atom_order`` (Section 7);
+* :func:`set_elements_reference` — the canonical element tuple of a set
+  built from arbitrary items: one item per distinct key, ascending;
+* :func:`choose_reference` / :func:`rest_reference` — brute-force scans
+  for the key minimum;
+* :func:`value_size_reference` — the recursive atomic-constituent count.
 
-* :func:`legacy_mode` — a context manager that flips the whole runtime
-  (``SRLSet`` construction, ``insert``, ``union``, membership, hashing,
-  ``value_size``, and the evaluator's ``choose``/``rest`` fast paths) back
-  to the seed code paths.  ``benchmarks/bench_perf_overhaul.py`` uses it to
-  time the identical workload on the seed implementation and on the
-  optimized one, which is how the ≥10× speedup figures in
-  ``BENCH_perf.json`` are measured.
-
-Nothing in the production code path imports this module.
+Property tests in ``tests/core/test_perf_caches.py`` compare the value
+layer against these on randomly generated nested values.  Nothing in the
+production code path imports this module (``tests/core/
+test_reference_isolation.py`` checks it).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from .errors import SRLRuntimeError
-from .values import Atom, SRLList, SRLSet, SRLTuple, _set_caching, caches_enabled
+from .values import Atom, SRLList, SRLSet, SRLTuple, Value
 
 __all__ = [
     "value_key_reference",
     "value_sort_reference",
+    "set_elements_reference",
     "choose_reference",
     "rest_reference",
-    "legacy_mode",
+    "value_size_reference",
 ]
 
 
@@ -80,23 +79,44 @@ def choose_reference(value: SRLSet, atom_order: Sequence[int] | None = None) -> 
     return min(value.elements, key=lambda v: value_key_reference(v, atom_order))
 
 
+def set_elements_reference(items: Iterable["Value"]) -> tuple:
+    """The canonical elements of a set of ``items``: the first item of
+    each distinct reference key, in ascending key order.  Keys separate
+    kinds, so ``true`` and ``1`` are two elements."""
+    by_key: dict = {}
+    for item in items:
+        by_key.setdefault(value_key_reference(item), item)
+    return tuple(by_key[key] for key in sorted(by_key))
+
+
+def choose_reference(value: SRLSet, atom_order: Sequence[int] | None = None) -> "Value":
+    """Brute-force ``choose``: scan every element for the key minimum."""
+    if value.is_empty():
+        raise SRLRuntimeError("choose applied to the empty set")
+    return min(value.elements, key=lambda v: value_key_reference(v, atom_order))
+
+
 def rest_reference(value: SRLSet, atom_order: Sequence[int] | None = None) -> SRLSet:
     """Brute-force ``rest``: rebuild the set without the key minimum."""
-    minimum = choose_reference(value, atom_order)
-    return SRLSet([v for v in value.elements if v != minimum])
+    elements = value.elements
+    if not elements:
+        raise SRLRuntimeError("rest applied to the empty set")
+    index = min(range(len(elements)),
+                key=lambda i: value_key_reference(elements[i], atom_order))
+    return SRLSet(elements[:index] + elements[index + 1:])
 
 
-@contextmanager
-def legacy_mode():
-    """Run the enclosed block on the seed's uncached code paths.
-
-    Only benchmarks and differential tests should use this.  The flag is
-    process-global, so the block must not run concurrently with optimized
-    evaluation (the test suite and benchmarks are single-threaded).
-    """
-    previous = caches_enabled()
-    _set_caching(False)
-    try:
-        yield
-    finally:
-        _set_caching(previous)
+def value_size_reference(value: "Value") -> int:
+    """The seed's :func:`~repro.core.values.value_size`: a full recursive
+    count of atomic constituents with no caching."""
+    if isinstance(value, (bool, Atom)):
+        return 1
+    if isinstance(value, int):
+        return max(1, value.bit_length())
+    if isinstance(value, SRLTuple):
+        return sum(value_size_reference(v) for v in value)
+    if isinstance(value, SRLSet):
+        return 1 + sum(value_size_reference(v) for v in value.elements)
+    if isinstance(value, SRLList):
+        return 1 + sum(value_size_reference(v) for v in value.items)
+    raise SRLRuntimeError(f"not an SRL value: {value!r}")

@@ -39,10 +39,10 @@ the whole lifetime of the value instead of once per comparison — this is
 what keeps set-of-sets workloads (powerset, TM simulation) from going
 super-quadratic.  See DESIGN.md ("Caching architecture").
 
-The module-level switch :func:`caches_enabled` (toggled through
-:func:`repro.core.reference.legacy_mode`) re-enables the seed's uncached
-code paths; it exists purely so benchmarks and differential tests can
-measure the optimized paths against the original ones.
+These are the only implementations of the value operations.  The pure,
+uncached oracles the property tests compare them against live in
+:mod:`repro.core.reference`; the seed's original algorithms, which the P0
+benchmark times against these, live in ``benchmarks/seed_values.py``.
 """
 
 from __future__ import annotations
@@ -72,25 +72,7 @@ __all__ = [
     "value_size",
     "value_to_python",
     "python_to_value",
-    "caches_enabled",
 ]
-
-
-# When False, every operation falls back to the seed's uncached algorithms
-# (recursive key recomputation, sort-on-construct, linear membership scans).
-# Toggled only by repro.core.reference.legacy_mode for benchmarking and
-# differential testing; never flip it directly.
-_CACHES_ENABLED = True
-
-
-def caches_enabled() -> bool:
-    """Whether the canonical-key / hash / size caches are in use."""
-    return _CACHES_ENABLED
-
-
-def _set_caching(enabled: bool) -> None:
-    global _CACHES_ENABLED
-    _CACHES_ENABLED = enabled
 
 
 #: How many *permuted* (non-natural) atom orders a value keeps keys for.
@@ -199,17 +181,6 @@ class SRLSet:
         self._key_cache = None
         self._hash = None
         self._size_cache = None
-        if not _CACHES_ENABLED:
-            canonical: list[Value] = []
-            seen: set[Value] = set()
-            for element in elements:
-                if element not in seen:
-                    seen.add(element)
-                    canonical.append(element)
-            canonical.sort(key=value_key)
-            self._elements = tuple(canonical)
-            self._keys = None
-            return
         elems = list(elements)
         keys = [_value_key(e, None) for e in elems]
         ascending = True
@@ -287,13 +258,11 @@ class SRLSet:
         return iter(self._elements)
 
     def __contains__(self, item: object) -> bool:
-        if not _CACHES_ENABLED:
-            return item in self._elements
         try:
             key = _value_key(item, None)
         except SRLRuntimeError:
             # Not an SRL value (e.g. a plain Python tuple probing for an
-            # SRLTuple element): keep the seed's equality scan rather than
+            # SRLTuple element): fall back to an equality scan rather than
             # silently answering False.
             return item in self._elements
         keys = self._element_keys()
@@ -305,19 +274,14 @@ class SRLSet:
         # element tuples: Python conflates bool with int (True == 1), which
         # would let a "canonical, duplicate-free" set hold two ==-equal
         # elements.  Keys are injective on values, so key equality is
-        # structural equality with the kind tags respected.  Legacy mode
-        # keeps the seed's tuple comparison.
+        # structural equality with the kind tags respected.
         if self is other:
             return True
         if not isinstance(other, SRLSet):
             return False
-        if not _CACHES_ENABLED:
-            return self._elements == other._elements
         return self._key(None) == other._key(None)
 
     def __hash__(self) -> int:
-        if not _CACHES_ENABLED:
-            return hash(("set", self._elements))
         result = self._hash
         if result is None:
             # Hash the canonical key so eq-equal implies hash-equal under
@@ -348,25 +312,12 @@ class SRLSet:
         result = SRLSet._from_sorted(
             self._elements[1:], None if keys is None else keys[1:]
         )
-        if _CACHES_ENABLED and self._size_cache is not None:
+        if self._size_cache is not None:
             result._size_cache = self._size_cache - value_size(self._elements[0])
         return result
 
     def insert(self, element: "Value") -> "SRLSet":
         """Return ``self`` with ``element`` added (no-op if already present)."""
-        if not _CACHES_ENABLED:
-            if element in self._elements:
-                return self
-            key = value_key(element)
-            elements = self._elements
-            lo, hi = 0, len(elements)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if value_key(elements[mid]) < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return SRLSet._from_sorted(elements[:lo] + (element,) + elements[lo:])
         key = _value_key(element, None)
         keys = self._element_keys()
         index = bisect_left(keys, key)
@@ -384,8 +335,6 @@ class SRLSet:
         return result
 
     def union(self, other: "SRLSet") -> "SRLSet":
-        if not _CACHES_ENABLED:
-            return SRLSet(self._elements + other._elements)
         if not self._elements:
             return other
         if not other._elements:
@@ -477,13 +426,9 @@ class SRLList:
             return True
         if not isinstance(other, SRLList):
             return False
-        if not _CACHES_ENABLED:
-            return self._items == other._items
         return self._key(None) == other._key(None)
 
     def __hash__(self) -> int:
-        if not _CACHES_ENABLED:
-            return hash(("list", self._items))
         result = self._hash
         if result is None:
             result = self._hash = hash(("list", self._key(None)))
@@ -510,7 +455,7 @@ class SRLList:
 
     def cons(self, item: "Value") -> "SRLList":
         result = SRLList((item,) + self._items)
-        if _CACHES_ENABLED and self._size_cache is not None:
+        if self._size_cache is not None:
             result._size_cache = self._size_cache + value_size(item)
         return result
 
@@ -548,10 +493,9 @@ def value_key(value: "Value", atom_order: tuple[int, ...] | None = None):
 
 def _value_key(value: "Value", atom_order: tuple[int, ...] | None):
     """Internal worker: ``atom_order`` is already ``None`` or a tuple."""
-    if _CACHES_ENABLED:
-        kind = type(value)
-        if kind is SRLTuple or kind is SRLSet or kind is SRLList:
-            return value._key(atom_order)
+    kind = type(value)
+    if kind is SRLTuple or kind is SRLSet or kind is SRLList:
+        return value._key(atom_order)
     if isinstance(value, bool):
         return (0, int(value))
     if isinstance(value, int):
@@ -559,17 +503,6 @@ def _value_key(value: "Value", atom_order: tuple[int, ...] | None):
     if isinstance(value, Atom):
         rank = value.rank if atom_order is None else atom_order[value.rank]
         return (2, rank)
-    if isinstance(value, SRLTuple):
-        return (3, len(value), tuple(_value_key(v, atom_order) for v in value))
-    if isinstance(value, SRLSet):
-        ordered = (
-            value.elements
-            if atom_order is None
-            else tuple(sorted(value.elements, key=lambda v: _value_key(v, atom_order)))
-        )
-        return (4, len(ordered), tuple(_value_key(v, atom_order) for v in ordered))
-    if isinstance(value, SRLList):
-        return (5, len(value.items), tuple(_value_key(v, atom_order) for v in value.items))
     raise SRLRuntimeError(f"not an SRL value: {value!r}")
 
 
@@ -654,14 +587,8 @@ def value_size(value: "Value") -> int:
         return 1
     if isinstance(value, int):
         return max(1, value.bit_length())
-    if _CACHES_ENABLED and type(value) in (SRLTuple, SRLSet, SRLList):
+    if type(value) in (SRLTuple, SRLSet, SRLList):
         return value._size()
-    if isinstance(value, SRLTuple):
-        return sum(value_size(v) for v in value)
-    if isinstance(value, SRLSet):
-        return 1 + sum(value_size(v) for v in value.elements)
-    if isinstance(value, SRLList):
-        return 1 + sum(value_size(v) for v in value.items)
     raise SRLRuntimeError(f"not an SRL value: {value!r}")
 
 

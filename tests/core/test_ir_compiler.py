@@ -183,6 +183,10 @@ class TestCompiledSemantics:
         # The failed compile is cached: a second run does not retry it.
         assert session._compiled is None
         assert session.run(database) == interp_value
+        # The fallback is logged once per rejected compile, not per run.
+        [event] = session.degradations
+        assert (event.stage, event.fallback) == ("compile", "interp")
+        assert "SRLCompilationError" in event.error
 
 
 class TestSession:

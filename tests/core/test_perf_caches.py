@@ -3,9 +3,10 @@
 Every optimized path in the values layer (cached canonical keys, the
 sorted-input constructor, the binary-searched ``insert``, the linear-merge
 ``union``, the ``choose``/``rest`` fast path, the memoized ``value_size``)
-must agree *exactly* with the seed's brute-force algorithms, which are kept
-in :mod:`repro.core.reference` — including under permuted ``atom_order``
-(Section 7 order-independence).
+must agree *exactly* with the pure, uncached oracles kept in
+:mod:`repro.core.reference` — including under permuted ``atom_order``
+(Section 7 order-independence) and on the bool/nat overlap, where Python's
+``True == 1`` must not leak into SRL equality.
 """
 
 from __future__ import annotations
@@ -16,16 +17,16 @@ from repro.core import Atom, Database, Evaluator, make_set, make_tuple
 from repro.core.ast import Choose, Rest, Var
 from repro.core.reference import (
     choose_reference,
-    legacy_mode,
     rest_reference,
+    set_elements_reference,
     value_key_reference,
+    value_size_reference,
     value_sort_reference,
 )
 from repro.core.values import (
     SRLList,
     SRLSet,
     SRLTuple,
-    caches_enabled,
     value_key,
     value_size,
     value_sort,
@@ -34,11 +35,10 @@ from repro.core.values import (
 DOMAIN = 8
 
 atoms = st.integers(min_value=0, max_value=DOMAIN - 1).map(Atom)
-# Naturals start at 2: the seed deduplicated via Python equality, under which
-# True == 1 and False == 0 cross the bool/nat kind boundary; the key-based
-# paths deliberately keep the kinds distinct (see DESIGN.md, "Values layer"),
-# so the differential tests stay off that pathological (untyped) overlap.
-scalars = st.one_of(st.booleans(), st.integers(min_value=2, max_value=9), atoms)
+# Naturals include 0 and 1, so bool and nat values overlap under Python's
+# ``==`` (True == 1); the value layer keeps the kinds distinct (DESIGN.md,
+# "Values layer") and the key-based oracles check that it does.
+scalars = st.one_of(st.booleans(), st.integers(min_value=0, max_value=9), atoms)
 values = st.recursive(
     scalars,
     lambda children: st.one_of(
@@ -49,6 +49,14 @@ values = st.recursive(
     max_leaves=20,
 )
 permutations = st.permutations(list(range(DOMAIN))).map(tuple)
+# Dense in the bool/nat overlap, so a ``True == 1`` leak shows in a few examples.
+overlapping = st.one_of(st.booleans(), st.integers(min_value=0, max_value=2))
+
+
+def _keys(elements):
+    """Reference keys of a sequence of values: comparing these, rather than
+    the values with ``==``, cannot mistake ``True`` for ``1``."""
+    return [value_key_reference(v) for v in elements]
 
 
 class TestCachedKeys:
@@ -80,11 +88,8 @@ class TestCachedKeys:
 
 class TestSetConstruction:
     @given(st.lists(values, max_size=8))
-    def test_construction_matches_seed(self, items):
-        fast = SRLSet(items)
-        with legacy_mode():
-            slow = SRLSet(items)
-        assert fast.elements == slow.elements
+    def test_construction_matches_reference(self, items):
+        assert _keys(SRLSet(items).elements) == _keys(set_elements_reference(items))
 
     @given(st.lists(values, max_size=8))
     def test_sorted_input_detection_is_invisible(self, items):
@@ -94,32 +99,34 @@ class TestSetConstruction:
         assert SRLSet(canonical.elements).elements == canonical.elements
 
     @given(st.lists(values, max_size=8), values)
-    def test_insert_matches_seed(self, items, extra):
+    def test_insert_matches_reference(self, items, extra):
         fast = SRLSet(items).insert(extra)
-        with legacy_mode():
-            slow = SRLSet(list(items) + [extra])
-        assert fast.elements == slow.elements
+        assert _keys(fast.elements) == _keys(set_elements_reference([*items, extra]))
 
     @given(st.lists(values, max_size=6), st.lists(values, max_size=6))
-    def test_union_linear_merge_matches_seed(self, left, right):
+    def test_union_linear_merge_matches_reference(self, left, right):
         fast = SRLSet(left).union(SRLSet(right))
-        with legacy_mode():
-            slow = SRLSet(list(left) + list(right))
-        assert fast.elements == slow.elements
+        assert _keys(fast.elements) == _keys(set_elements_reference([*left, *right]))
 
     @given(st.lists(values, max_size=8), values)
-    def test_membership_matches_seed(self, items, probe):
-        fast = probe in SRLSet(items)
-        with legacy_mode():
-            slow = probe in SRLSet(items)
-        assert fast == slow
+    def test_membership_matches_reference(self, items, probe):
+        assert (probe in SRLSet(items)) == \
+            (value_key_reference(probe) in _keys(items))
+
+    @given(st.lists(overlapping, max_size=5), overlapping)
+    def test_bool_nat_overlap_matches_reference(self, items, extra):
+        s = SRLSet(items)
+        assert _keys(s.elements) == _keys(set_elements_reference(items))
+        assert _keys(s.insert(extra).elements) == \
+            _keys(set_elements_reference([*items, extra]))
+        assert (extra in s) == (value_key_reference(extra) in _keys(items))
 
 
 class TestChooseRestFastPath:
     @given(st.lists(values, min_size=1, max_size=8))
     def test_choose_rest_match_brute_force(self, items):
         s = SRLSet(items)
-        assert s.choose() == choose_reference(s)
+        assert value_key_reference(s.choose()) == value_key_reference(choose_reference(s))
         assert s.rest() == rest_reference(s)
 
     @given(st.lists(atoms, min_size=1, max_size=8), permutations)
@@ -145,10 +152,9 @@ class TestChooseRestFastPath:
 
 class TestValueSizeCache:
     @given(values)
-    def test_cached_size_matches_seed(self, value):
-        cached = value_size(value)
-        with legacy_mode():
-            assert value_size(value) == cached
+    def test_cached_size_matches_reference(self, value):
+        assert value_size(value) == value_size_reference(value)
+        assert value_size(value) == value_size_reference(value)  # from the cache
 
     @given(st.lists(values, max_size=6))
     def test_size_propagates_through_insert_chains(self, items):
@@ -156,18 +162,14 @@ class TestValueSizeCache:
         value_size(s)  # warm the cache so propagation kicks in
         for item in items:
             s = s.insert(item)
-            cached = value_size(s)
-            with legacy_mode():
-                assert value_size(s) == cached
+            assert value_size(s) == value_size_reference(s)
 
     @given(st.lists(values, min_size=1, max_size=6))
     def test_size_propagates_through_rest(self, items):
         s = SRLSet(items)
         value_size(s)
         while not s.is_empty():
-            cached = value_size(s)
-            with legacy_mode():
-                assert value_size(s) == cached
+            assert value_size(s) == value_size_reference(s)
             s = s.rest()
 
     @given(st.lists(values, max_size=5))
@@ -176,9 +178,7 @@ class TestValueSizeCache:
         value_size(xs)
         for item in items:
             xs = xs.cons(item)
-            cached = value_size(xs)
-            with legacy_mode():
-                assert value_size(xs) == cached
+            assert value_size(xs) == value_size_reference(xs)
 
 
 class TestKindConsistency:
@@ -241,29 +241,3 @@ class TestPermutedKeyCacheBound:
         # The natural-order key is never evicted.
         value_key(s)
         assert None in cache
-
-
-class TestLegacyModeHygiene:
-    def test_legacy_mode_restores_caching(self):
-        assert caches_enabled()
-        with legacy_mode():
-            assert not caches_enabled()
-        assert caches_enabled()
-
-    def test_legacy_mode_restores_on_error(self):
-        try:
-            with legacy_mode():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert caches_enabled()
-
-    def test_values_cross_modes(self):
-        # A value built with caches on is usable in legacy mode and back.
-        s = make_set(make_tuple(Atom(1), Atom(2)), Atom(0))
-        key = value_key(s)
-        with legacy_mode():
-            assert value_key(s) == key
-            grown = s.insert(Atom(3))
-        assert grown.insert(Atom(4)).elements == \
-            SRLSet([make_tuple(Atom(1), Atom(2)), Atom(0), Atom(3), Atom(4)]).elements

@@ -27,7 +27,15 @@ import random
 
 import pytest
 
-from repro.core import Atom, Database, Session, make_set, make_tuple, with_standard_library
+from repro.core import (
+    Atom,
+    Database,
+    Session,
+    make_set,
+    make_tuple,
+    parse_program,
+    with_standard_library,
+)
 from repro.core import builders as b
 from repro.core.ast import Program
 from repro.core.errors import SRLError
@@ -223,6 +231,23 @@ def test_backends_agree_on_random_programs(seed):
         # the coarser "iterations + calls" measure.
         assert interp_stats["steps"] == reference_stats["steps"]
         assert compiled_stats["steps"] <= interp_stats["steps"]
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("(insert true (insert (nat 1) emptyset))", "{true, 1}"),
+    ("(= (insert true emptyset) (insert (nat 1) emptyset))", "False"),
+    ("(insert (insert true emptyset) (insert (insert (nat 1) emptyset) emptyset))",
+     "{{true}, {1}}"),
+])
+def test_backends_keep_bool_and_nat_distinct(source, expected):
+    """``true`` and ``(nat 1)`` are distinct elements on every backend,
+    although Python's ``True == 1``."""
+    program = parse_program(source)
+    compiled, _ = _observe(program, "compiled")
+    interp, _ = _observe(program, "interp")
+    reference, _ = _observe(program, "reference")
+    assert compiled == interp == reference
+    assert compiled[0] == "ok" and str(compiled[1]) == expected
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 7))
