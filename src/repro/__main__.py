@@ -132,10 +132,12 @@ def _build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument("--db", type=Path, default=None,
                         help="JSON database file supplying the input sets/relations")
     parser.add_argument("--backend", choices=BACKENDS, default="compiled",
-                        help="execution backend (default: compiled); 'interp' "
-                             "is the tree-walking interpreter, 'reference' the "
-                             "interpreter with the oracle logic kernels (naive "
-                             "fixed points, tuple-at-a-time, unoptimized)")
+                        help="execution backend (default: compiled, which "
+                             "runs any program); 'interp' is the tree-walking "
+                             "interpreter, whose steps count AST-node visits, "
+                             "'reference' the interpreter with the oracle logic "
+                             "kernels (naive fixed points, tuple-at-a-time, "
+                             "unoptimized)")
     parser.add_argument("--no-stdlib", action="store_true",
                         help="do not add the Fact 2.4 standard library definitions")
     parser.add_argument("--max-steps", type=int, default=None,

@@ -7,20 +7,32 @@ shared compile namespace, and the reduce loops become plain ``for`` loops.
 Nothing in the hot path walks a tree, chains an environment, or dispatches
 on node types — that work was all done once, at lowering time.
 
+Any nesting compiles.  CPython rejects a function with more than 20
+statically nested blocks (each reduce loop is one) or about 100 levels of
+indentation (each ``if`` arm is one).  Where a loop would reach the block
+limit, or a block the indentation threshold, :class:`_CodeGen` emits that
+block — a lambda body or an ``if`` arm — as a generated function of the
+registers it reads, and calls it in place.  For a lambda body those are its
+two parameters: by rule 9 a lambda body reads nothing else but the
+database.  The outlined code runs the same operations in the same order and
+adds no tick, so values and counters are unchanged.
+
 Instrumentation and limits
 --------------------------
 
-The compiled backend threads a tiny :class:`_Runtime` through every call.
-It carries the same :class:`~repro.core.evaluator.EvaluationStats` /
-:class:`~repro.core.evaluator.EvaluationLimits` the interpreter uses, and
-the *semantically determined* counters match the interpreter exactly:
-``inserts``, ``set_reduce_iterations``, ``list_reduce_iterations``,
-``function_calls``, ``new_values``, ``max_set_size``,
-``max_accumulator_size`` and ``max_list_length`` are all maintained at the
-same program points.  Only ``steps`` is coarser: the interpreter ticks once
-per AST node visited, while compiled code has no per-node events and ticks
-once per reduce iteration and per function call (see DESIGN.md, "What
-instrumentation each backend guarantees").  ``max_steps`` budgets therefore
+The compiled backend threads the interpreter's
+:class:`~repro.core.evaluator.Runtime` through every call, so every
+instrumented operation (``insert``, ``choose``, ``rest``, ``new``,
+``cons``, the list/new gates, the accumulator gauges, the recursion guard)
+runs the same body on both executors, and the *semantically determined*
+counters match the interpreter exactly: ``inserts``,
+``set_reduce_iterations``, ``list_reduce_iterations``, ``function_calls``,
+``new_values``, ``max_set_size``, ``max_accumulator_size`` and
+``max_list_length`` are all maintained at the same program points.  Only
+``steps`` is coarser: the interpreter ticks once per AST node visited,
+while compiled code has no per-node events and ticks once per reduce
+iteration and per function call (see DESIGN.md, "What instrumentation
+each backend guarantees").  ``max_steps`` budgets therefore
 bound the same asymptotic quantity, at a different constant factor.
 
 Resource limits (``max_steps``, ``max_inserts``, ``max_set_size``,
@@ -34,179 +46,18 @@ from typing import Mapping, Sequence
 
 from .ast import Expr, Program
 from .environment import Database
-from .errors import (
-    ResourceLimitExceeded,
-    SRLCompilationError,
-    SRLNameError,
-    SRLRuntimeError,
-)
-from .evaluator import EvaluationLimits, EvaluationStats
-from .ir import Block, IRFunction, Instr, Op, lower_program
-from .values import (
-    Atom,
-    SRLList,
-    SRLSet,
-    SRLTuple,
-    Value,
-    _value_key,
-    max_atom_rank,
-    value_equal,
-    value_size,
-)
+from .errors import SRLNameError, SRLRuntimeError
+from .evaluator import EvaluationLimits, EvaluationStats, Runtime
+from .ir import Block, Instr, Op, free_registers, lower_program
+from .values import SRLList, SRLSet, SRLTuple, Value, _value_key, value_equal
 
 __all__ = ["CompiledProgram", "compile_program", "compile_expression"]
-
-
-class _Runtime:
-    """Per-run state threaded through compiled closures: stats, limits, the
-    scan order, the ``new`` counter and the recursion guard."""
-
-    __slots__ = ("stats", "limits", "atom_order", "new_counter", "active",
-                 "allow_lists", "governor")
-
-    def __init__(self, limits: EvaluationLimits, atom_order: tuple[int, ...] | None,
-                 stats: EvaluationStats | None = None, governor=None):
-        # A caller-supplied stats object stays observable even when the run
-        # aborts on a resource limit (Session relies on this).
-        self.stats = stats if stats is not None else EvaluationStats()
-        self.limits = limits
-        self.atom_order = atom_order
-        self.new_counter = 0
-        self.active: set[str] = set()
-        self.allow_lists = limits.allow_lists
-        self.governor = governor
-
-    # --------------------------------------------------------------- ticks
-
-    def tick(self) -> None:
-        stats = self.stats
-        stats.steps += 1
-        limit = self.limits.max_steps
-        if limit is not None and stats.steps > limit:
-            raise ResourceLimitExceeded("steps", limit, stats.steps)
-        governor = self.governor
-        if governor is not None:
-            governor.tick()
-
-    def call_tick(self) -> None:
-        self.stats.function_calls += 1
-        self.tick()
-
-    def enter(self, name: str) -> None:
-        if name in self.active:
-            raise SRLRuntimeError(
-                f"recursive call of {name}: SRL functions are closed "
-                "under composition only, recursion is not part of the language"
-            )
-        self.active.add(name)
-
-    def exit(self, name: str) -> None:
-        self.active.discard(name)
-
-    # ---------------------------------------------------------- operations
-
-    def insert(self, element: Value, target: Value) -> SRLSet:
-        if not isinstance(target, SRLSet):
-            raise SRLRuntimeError(f"insert into a non-set: {target!r}")
-        stats = self.stats
-        stats.inserts += 1
-        limit = self.limits.max_inserts
-        if limit is not None and stats.inserts > limit:
-            raise ResourceLimitExceeded("inserts", limit, stats.inserts)
-        result = target.insert(element)
-        size = len(result)
-        if size > stats.max_set_size:
-            stats.max_set_size = size
-        size_limit = self.limits.max_set_size
-        if size_limit is not None and size > size_limit:
-            raise ResourceLimitExceeded("set size", size_limit, size)
-        return result
-
-    def choose(self, source: Value) -> Value:
-        if not isinstance(source, SRLSet):
-            raise SRLRuntimeError(f"choose applied to a non-set: {source!r}")
-        if self.atom_order is None:
-            return source.choose()
-        elements = source.ordered_under(self.atom_order)
-        if not elements:
-            raise SRLRuntimeError("choose applied to the empty set")
-        return elements[0]
-
-    def rest(self, source: Value) -> Value:
-        if not isinstance(source, SRLSet):
-            raise SRLRuntimeError(f"rest applied to a non-set: {source!r}")
-        if self.atom_order is None:
-            return source.rest()
-        elements = source.ordered_under(self.atom_order)
-        if not elements:
-            raise SRLRuntimeError("rest applied to the empty set")
-        return SRLSet(elements[1:])
-
-    def new(self, source: Value) -> Value:
-        if not self.limits.allow_new:
-            raise SRLRuntimeError(
-                "new (invented values) is disabled: the program is being run "
-                "under plain-SRL semantics"
-            )
-        if not isinstance(source, SRLSet):
-            raise SRLRuntimeError(f"new applied to a non-set: {source!r}")
-        self.stats.new_values += 1
-        self.new_counter = max(self.new_counter, max_atom_rank(source) + 1)
-        fresh = Atom(self.new_counter)
-        self.new_counter += 1
-        return fresh
-
-    def cons(self, item: Value, target: Value) -> SRLList:
-        if not isinstance(target, SRLList):
-            raise SRLRuntimeError(f"cons onto a non-list: {target!r}")
-        result = target.cons(item)
-        length = len(result)
-        if length > self.stats.max_list_length:
-            self.stats.max_list_length = length
-        return result
-
-    def emptylist(self) -> SRLList:
-        if not self.allow_lists:
-            raise SRLRuntimeError("list values are disabled by the evaluation limits")
-        return SRLList()
-
-    def check_lists(self) -> None:
-        if not self.allow_lists:
-            raise SRLRuntimeError("list values are disabled by the evaluation limits")
-
-    def check_new(self) -> None:
-        if not self.limits.allow_new:
-            raise SRLRuntimeError(
-                "new (invented values) is disabled: the program is being run "
-                "under plain-SRL semantics"
-            )
-
-    def ordered(self, source: SRLSet) -> Sequence[Value]:
-        if self.atom_order is None:
-            return source.elements
-        return source.ordered_under(self.atom_order)
-
-    def note_acc(self, value: Value) -> None:
-        stats = self.stats
-        size = value_size(value)
-        if size > stats.max_accumulator_size:
-            stats.max_accumulator_size = size
-        if isinstance(value, SRLSet):
-            set_size = len(value)
-            if set_size > stats.max_set_size:
-                stats.max_set_size = set_size
-            limit = self.limits.max_set_size
-            if limit is not None and set_size > limit:
-                raise ResourceLimitExceeded("set size", limit, set_size)
-        elif isinstance(value, SRLList):
-            if len(value) > stats.max_list_length:
-                stats.max_list_length = len(value)
 
 
 # ------------------------------------------------------------ error helpers
 
 
-def _make_lookup(database: Database):
+def _make_lookup(database: Database | Mapping[str, object] | None):
     """The database accessor threaded through compiled closures.
 
     Reads the bindings dict directly (one call level less than
@@ -215,6 +66,8 @@ def _make_lookup(database: Database):
     already ruled out every parameter scope, which is exactly the state in
     which ``Environment.lookup`` reports "unbound variable".
     """
+    if not isinstance(database, Database):
+        database = Database(database or {})
     bindings = database._bindings
 
     def lookup(name: str) -> Value:
@@ -257,20 +110,33 @@ def _select(value, index: int):
 # ------------------------------------------------------------------- codegen
 
 
-class _CodeGen:
-    """Emits the Python source of one IR function."""
+#: CPython's per-function limits: at most 20 statically nested blocks
+#: (``for``, ``try``) and under 100 indentation levels.
+_MAX_BLOCKS = 20
+_MAX_INDENT = 90
 
-    def __init__(self, fn: IRFunction, fn_globals: dict[str, str],
-                 consts: list, emitted_name: str,
-                 guarded_names: frozenset[str] = frozenset()):
-        self.fn = fn
-        self.fn_globals = fn_globals  # callee name -> generated global name
-        self.consts = consts
+
+class _CodeGen:
+    """Emits the Python source of one generated function.
+
+    ``context`` is shared by every function of one program: the callee name
+    -> generated global name map, the constant pool, the guarded callee
+    names and the list of emitted function sources.
+    """
+
+    def __init__(self, emitted_name: str, params: Sequence[int], block: Block,
+                 context: tuple, guard: str | None = None):
         self.emitted_name = emitted_name
-        self.guarded_names = guarded_names
+        self.params = params
+        self.block = block
+        self.guard = guard
+        self.context = context
+        self.fn_globals, self.consts, self.guarded_names, self.sources = context
         self.lines: list[str] = []
         self.indent = 1
+        self._blocks = 0
         self._reduce_id = 0
+        self._outlined: list[tuple[str, list[int], Block]] = []
 
     def _line(self, text: str) -> None:
         self.lines.append("    " * self.indent + text)
@@ -279,28 +145,45 @@ class _CodeGen:
         self.consts.append(value)
         return f"_K{len(self.consts) - 1}"
 
-    def generate(self) -> str:
-        fn = self.fn
-        params = ", ".join(f"r{slot}" for slot in range(len(fn.params)))
-        header = f"def {self.emitted_name}(rt, _lookup{', ' + params if params else ''}):"
-        self.lines.append(header)
+    def generate(self) -> None:
+        """Append this function's source, then the functions it outlined
+        (one Python frame per outlining level, however deep the nesting)."""
+        params = "".join(f", r{slot}" for slot in self.params)
+        self.lines.append(f"def {self.emitted_name}(rt, _lookup{params}):")
         self._line("_st = rt.stats")
-        if fn.guarded:
+        if self.guard is not None:
             # The interpreter checks the call stack *before* counting the
             # call, so a guard-rejected re-entry must not tick — guarded
             # functions therefore self-tick after the guard passes, and
             # their call sites skip the usual call_tick.
-            self._line(f"rt.enter({fn.name!r})")
+            self._line(f"rt.enter({self.guard!r})")
             self._line("try:")
             self.indent += 1
+            self._blocks += 1
             self._line("rt.call_tick()")
-        self._emit_block(fn.block)
-        self._line(f"return r{fn.block.result}")
-        if fn.guarded:
+        self._emit_block(self.block)
+        self._line(f"return r{self.block.result}")
+        if self.guard is not None:
             self.indent -= 1
             self._line("finally:")
-            self._line(f"    rt.exit({fn.name!r})")
-        return "\n".join(self.lines)
+            self._line(f"    rt.exit({self.guard!r})")
+        self.sources.append("\n".join(self.lines))
+        for name, params, block in self._outlined:
+            _CodeGen(name, params, block, self.context).generate()
+
+    def _value_of(self, block: Block) -> str:
+        """Emit ``block`` and return the expression holding its value.
+
+        Inline while CPython's limits allow, otherwise as a call of a new
+        generated function of the registers the block reads.
+        """
+        if self._blocks < _MAX_BLOCKS and self.indent <= _MAX_INDENT:
+            self._emit_block(block)
+            return f"r{block.result}"
+        name = f"{self.emitted_name}_{len(self._outlined)}"
+        params = sorted(free_registers(block))
+        self._outlined.append((name, params, block))
+        return f"{name}(rt, _lookup{''.join(f', r{slot}' for slot in params)})"
 
     def _emit_block(self, block: Block) -> None:
         for instr in block.instrs:
@@ -358,13 +241,11 @@ class _CodeGen:
             cond, then_block, else_block = args
             self._line(f"if r{cond} is True:")
             self.indent += 1
-            self._emit_block(then_block)
-            self._line(f"r{dest} = r{then_block.result}")
+            self._line(f"r{dest} = {self._value_of(then_block)}")
             self.indent -= 1
             self._line(f"elif r{cond} is False:")
             self.indent += 1
-            self._emit_block(else_block)
-            self._line(f"r{dest} = r{else_block.result}")
+            self._line(f"r{dest} = {self._value_of(else_block)}")
             self.indent -= 1
             self._line("else:")
             self._line(f"    _bad_condition(r{cond})")
@@ -383,23 +264,22 @@ class _CodeGen:
         self._line(f"_ext{rid} = r{extra}")
         self._line(f"for _e{rid} in {items}:")
         self.indent += 1
+        self._blocks += 1
         # The counter is bumped at the top of the body (before any work can
         # raise), which is exactly the interpreter's abort semantics: the
         # iteration being processed counts even when a resource limit stops
         # it mid-body.  Incrementing the stats field directly keeps the loop
-        # a single static block — CPython caps statically nested blocks at
-        # 20, and nested reduces nest these loops.
+        # a single static block (see _MAX_BLOCKS).
         self._line(f"_st.{counter} += 1")
         self._line("rt.tick()")
         self._line(f"r{app_slots[0]} = _e{rid}")
         self._line(f"r{app_slots[1]} = _ext{rid}")
-        self._emit_block(app_block)
-        self._line(f"r{acc_slots[0]} = r{app_block.result}")
+        self._line(f"r{acc_slots[0]} = {self._value_of(app_block)}")
         self._line(f"r{acc_slots[1]} = _acc{rid}")
-        self._emit_block(acc_block)
-        self._line(f"_acc{rid} = r{acc_block.result}")
+        self._line(f"_acc{rid} = {self._value_of(acc_block)}")
         self._line(f"rt.note_acc(_acc{rid})")
         self.indent -= 1
+        self._blocks -= 1
         self._line(f"r{dest} = _acc{rid}")
 
 
@@ -407,9 +287,9 @@ class CompiledProgram:
     """A program lowered to IR and compiled to Python closures.
 
     Compilation happens once; every :meth:`run` / :meth:`call` then executes
-    the closures against a fresh :class:`_Runtime` and returns ``(value,
-    stats)``.  Thread a :class:`~repro.core.engine.Session` for the
-    high-level API.
+    the closures against a fresh :class:`~repro.core.evaluator.Runtime`
+    and returns ``(value, stats)``.  Thread a
+    :class:`~repro.core.engine.Session` for the high-level API.
     """
 
     def __init__(self, program: Program, main: Expr | None = None):
@@ -433,25 +313,17 @@ class CompiledProgram:
                             if fn.guarded)
         consts: list = []
         sources: list[str] = []
+        context = (fn_globals, consts, guarded, sources)
         for name, fn in self.ir.functions.items():
-            sources.append(_CodeGen(fn, fn_globals, consts, fn_globals[name],
-                                    guarded).generate())
+            _CodeGen(fn_globals[name], range(len(fn.params)), fn.block, context,
+                     guard=name if fn.guarded else None).generate()
         if self.ir.main is not None:
-            sources.append(_CodeGen(self.ir.main, fn_globals, consts, "_main",
-                                    guarded).generate())
+            _CodeGen("_main", (), self.ir.main.block, context).generate()
         for index, value in enumerate(consts):
             self._namespace[f"_K{index}"] = value
         self.source = "\n\n".join(sources)
-        try:
-            exec(compile(self.source, f"<srl-compiled:{id(program):x}>", "exec"),
-                 self._namespace)
-        except SyntaxError as error:
-            # CPython caps statically nested blocks at 20; ~19+ nested
-            # reduces (each one `for` block, plus `if` arms) exceed it.
-            # Session falls back to the interpreter on this error.
-            raise SRLCompilationError(
-                f"program is too deeply nested for the compiled backend: {error}"
-            ) from error
+        exec(compile(self.source, f"<srl-compiled:{id(program):x}>", "exec"),
+             self._namespace)
         self._functions = {name: self._namespace[fn_globals[name]]
                            for name in self.ir.functions}
         self._main = self._namespace.get("_main")
@@ -470,11 +342,7 @@ class CompiledProgram:
         """
         if self._main is None:
             raise SRLRuntimeError("program has no main expression to evaluate")
-        if not isinstance(database, Database):
-            database = Database(database or {})
-        rt = _Runtime(limits if limits is not None else EvaluationLimits(),
-                      tuple(atom_order) if atom_order is not None else None,
-                      stats, governor)
+        rt = _runtime(limits, atom_order, stats, governor)
         value = self._main(rt, _make_lookup(database))
         return value, rt.stats
 
@@ -491,17 +359,19 @@ class CompiledProgram:
                 f"{definition.name} expects {len(definition.params)} arguments, "
                 f"got {len(args)}"
             )
-        if not isinstance(database, Database):
-            database = Database(database or {})
-        rt = _Runtime(limits if limits is not None else EvaluationLimits(),
-                      tuple(atom_order) if atom_order is not None else None,
-                      stats, governor)
+        rt = _runtime(limits, atom_order, stats, governor)
         if not self.ir.functions[name].guarded:
             # Guarded functions self-tick after their re-entry guard passes
             # (interpreter ordering); everything else is counted here.
             rt.call_tick()
         value = self._functions[name](rt, _make_lookup(database), *args)
         return value, rt.stats
+
+
+def _runtime(limits, atom_order, stats, governor) -> Runtime:
+    return Runtime(limits if limits is not None else EvaluationLimits(),
+                   tuple(atom_order) if atom_order is not None else None,
+                   stats, governor)
 
 
 def compile_program(program: Program, main: Expr | None = None) -> CompiledProgram:

@@ -7,14 +7,17 @@ executes through this module instead of wiring up evaluators by hand.  A
 order, and runs it on one of three interchangeable backends:
 
 ``compiled``
-    The default.  The program is lowered once to the register IR
-    (:mod:`repro.core.ir`) and compiled to Python closures
-    (:mod:`repro.core.compiler`).  Fastest; ``steps`` counts reduce
-    iterations and calls rather than AST node visits.
+    The default of every entry point, and the one production executor.
+    The program is lowered once to the register IR (:mod:`repro.core.ir`)
+    and compiled to Python closures (:mod:`repro.core.compiler`); any
+    reduce nesting compiles.  ``steps`` counts reduce iterations and calls
+    rather than AST node visits.
 
 ``interp``
     The instrumented tree-walking :class:`~repro.core.evaluator.Evaluator`
-    — the reference operational semantics, with per-node step counting.
+    — the reference operational semantics, with per-node step counting
+    (the unit of Proposition 6.1's ``n^{ad}`` bound).  Measurements stated
+    in node visits pin it explicitly.
 
 ``reference``
     The oracle bundle: the same interpreter, but with naive fixed points
@@ -24,7 +27,9 @@ order, and runs it on one of three interchangeable backends:
 
 All three agree on values and on the semantically determined counters
 (``inserts``, reduce iterations, ``function_calls``, ``new_values``, peak
-sizes); the differential suite in ``tests/integration`` pins this down.
+sizes): both executors call the same instrumented operations of
+:class:`~repro.core.evaluator.Runtime`, and the differential suite in
+``tests/integration`` pins the agreement down.
 
 The module also hosts the *relational kernels* (least fixed points,
 transitive closures, quantifier loops) that the logic layer's brute-force
@@ -47,9 +52,9 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 from .ast import Expr, Program
 from .compiler import CompiledProgram
 from .environment import Database
-from .errors import InvalidDatabaseError, SRLCompilationError
+from .errors import InvalidDatabaseError
 from .evaluator import EvaluationLimits, EvaluationStats, Evaluator
-from .governor import Budget, DegradationEvent
+from .governor import Budget
 from .relalg import (
     IndexedRelation,
     naive_closure,
@@ -142,10 +147,9 @@ class Session:
         # Explicit logic-layer strategy; ``None`` derives it from the
         # engine backend (see :attr:`logic_backend`).
         self._logic_backend_override = logic_backend
-        #: The session's degradation audit log: every time the compiler
-        #: rejected the program (the run falls back to the interpreter) or
-        #: the logic layer dropped a rung (optimized plan -> raw plan ->
-        #: tuple oracle, or skipped a memo store), a
+        #: The session's degradation audit log: every time the logic layer
+        #: dropped a rung (optimized plan -> raw plan -> tuple oracle, or
+        #: skipped a memo store), a
         #: :class:`~repro.core.governor.DegradationEvent` lands here.
         self.degradations: list = []
         self.stats = EvaluationStats()
@@ -318,13 +322,10 @@ class Session:
             return tuple(atom_order)
         return self.atom_order
 
-    def _compiled_for(self, main: Expr | None) -> CompiledProgram | None:
+    def _compiled_for(self, main: Expr | None) -> CompiledProgram:
         # The key holds the actual expression/definition objects (keeping
         # them alive) and compares by identity, so a freed-and-reallocated
-        # expression can never collide with a stale cache entry.  ``None``
-        # is cached for programs the compiler rejects (reduce nesting
-        # beyond CPython's static-block limit): the caller falls back to
-        # the interpreter without retrying the compile every run.
+        # expression can never collide with a stale cache entry.
         definitions = self.program.definitions
         key = (
             main if main is not None else self.program.main,
@@ -332,40 +333,30 @@ class Session:
             tuple(definitions.values()),
         )
         cached = self._compiled_key
-        fresh = (
+        if (
             cached is None
             or key[0] is not cached[0]
             or key[1] != cached[1]
             or len(key[2]) != len(cached[2])
             or any(new is not old for new, old in zip(key[2], cached[2]))
-        )
-        if fresh:
-            try:
-                self._compiled = CompiledProgram(self.program, main=main)
-            except SRLCompilationError as error:
-                self._compiled = None
-                self.degradations.append(
-                    DegradationEvent("compile", "interp", repr(error)))
+        ):
+            self._compiled = CompiledProgram(self.program, main=main)
             self._compiled_key = key
         return self._compiled
 
     def _execute(self, mode, database, main, atom_order, name=None, args=()):
         order = self._order(atom_order)
-        if self.backend == "compiled":
-            compiled = self._compiled_for(main)
-            if compiled is None:
-                # Uncompilable (too deeply nested): the interpreter is a
-                # strict superset semantically, so run there instead.
-                return self._run_interp(mode, database, main, order, name, args)
-            # Install the stats object up front so an aborted run still
-            # leaves its partial counters readable on the session.
-            self.stats = stats = EvaluationStats()
-            governor = self._governor(stats)
-            if governor is not None:
-                # One unamortized check up front: an already-expired
-                # deadline or pre-cancelled token stops the run before any
-                # work, however short the program.
-                governor.check_time()
+        compiled = self._compiled_for(main) if self.backend == "compiled" else None
+        # Install the stats object up front so an aborted run still leaves
+        # its partial counters readable on the session.
+        self.stats = stats = EvaluationStats()
+        governor = self._governor(stats)
+        if governor is not None:
+            # One unamortized check up front: an already-expired deadline or
+            # pre-cancelled token stops the run before any work, however
+            # short the program.
+            governor.check_time()
+        if compiled is not None:
             if mode == "run":
                 return compiled.run(database, limits=self.limits,
                                     atom_order=order, stats=stats,
@@ -373,32 +364,22 @@ class Session:
             return compiled.call(name, *args, database=database,
                                  limits=self.limits, atom_order=order,
                                  stats=stats, governor=governor)
-        return self._run_interp(mode, database, main, order, name, args)
-
-    def _run_interp(self, mode, database, main, order, name, args):
-        evaluator = Evaluator(self.program, self.limits, atom_order=order)
-        evaluator.governor = governor = self._governor(evaluator.stats)
-        if governor is not None:
-            governor.check_time()
-        self.stats = evaluator.stats  # observable even if the run aborts
+        evaluator = Evaluator(self.program, self.limits, order, governor, stats)
         if mode == "run":
-            value = evaluator.run(database, main=main)
-        else:
-            value = evaluator.call(name, *args, database=database)
-        return value, evaluator.stats
+            return evaluator.run(database, main=main), stats
+        return evaluator.call(name, *args, database=database), stats
 
 
 def run_program(program: Program,
                 database: Database | Mapping[str, object] | None = None,
                 limits: EvaluationLimits | None = None,
                 atom_order: Sequence[int] | None = None,
-                backend: str = "interp") -> Value:
+                backend: str = "compiled") -> Value:
     """Evaluate a program's main expression through the engine facade.
 
-    ``backend`` defaults to the interpreter for drop-in compatibility with
-    the historical :func:`repro.core.evaluator.run_program`; pass
-    ``backend="compiled"`` (or use a :class:`Session`) for the compiled
-    engine.
+    ``backend`` defaults to the compiled executor, like :class:`Session`;
+    pass ``backend="interp"`` where a measurement is defined in AST-node
+    visits.
     """
     return Session(program, limits, atom_order, backend=backend).run(database)
 
@@ -408,7 +389,7 @@ def run_expression(expr: Expr,
                    program: Program | None = None,
                    limits: EvaluationLimits | None = None,
                    atom_order: Sequence[int] | None = None,
-                   backend: str = "interp") -> Value:
+                   backend: str = "compiled") -> Value:
     """Evaluate a standalone expression (optionally with auxiliary
     definitions available through ``program``) through the engine facade."""
     return Session(program, limits, atom_order, backend=backend).run(

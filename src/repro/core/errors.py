@@ -42,13 +42,6 @@ class SRLRuntimeError(SRLError):
     when invented values are not enabled)."""
 
 
-class SRLCompilationError(SRLError):
-    """Raised when a program cannot be lowered/compiled to Python closures
-    (e.g. reduce nesting beyond CPython's static-block limit).  The
-    :class:`~repro.core.engine.Session` facade catches this and falls back
-    to the interpreter backend, so callers normally never see it."""
-
-
 class RestrictionViolation(SRLError):
     """Raised (or collected) when a program falls outside a language
     restriction such as SRL's set-height <= 1 or BASRL's flat accumulator.

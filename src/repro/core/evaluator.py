@@ -25,7 +25,10 @@ applications, ``set-reduce`` iterations, invented values, and the peak
 sizes of sets and accumulators it builds.  These counters are exactly the
 quantities Sections 4 and 6 of the paper reason about (T_ins, the n^{ad}
 step bound of Proposition 6.1, the O(log n)-bit accumulators of BASRL),
-and they are what the benchmark harness reports.
+and they are what the benchmark harness reports.  Every instrumented
+operation lives once, on :class:`Runtime`, which both this interpreter and
+the compiled closures of :mod:`repro.core.compiler` call, so the two
+executors count the same events by construction.
 
 Resource limits (steps / inserts / set sizes) can be configured through
 :class:`EvaluationLimits`; exceeding one raises
@@ -77,7 +80,7 @@ from .values import (
     value_size,
 )
 
-__all__ = ["EvaluationLimits", "EvaluationStats", "Evaluator"]
+__all__ = ["EvaluationLimits", "EvaluationStats", "Evaluator", "Runtime"]
 
 
 @dataclass
@@ -123,6 +126,162 @@ class EvaluationStats:
         }
 
 
+class Runtime:
+    """Per-run state and the instrumented operations of both SRL executors.
+
+    Holds the stats, the limits, the scan order, the ``new`` counter, the
+    recursion guard and the optional governor.  The interpreter's handlers
+    and the compiled closures call the same methods, so ``inserts``, reduce
+    iterations, ``new_values`` and the peak-size gauges are maintained by
+    one body each; only *when* :meth:`tick` is called differs (per AST node
+    in the interpreter, per reduce iteration and call in compiled code).
+    """
+
+    __slots__ = ("stats", "limits", "atom_order", "new_counter", "active",
+                 "allow_lists", "governor")
+
+    def __init__(self, limits: EvaluationLimits, atom_order: tuple[int, ...] | None,
+                 stats: EvaluationStats | None = None, governor=None):
+        # A caller-supplied stats object stays observable even when the run
+        # aborts on a resource limit (Session relies on this).
+        self.stats = stats if stats is not None else EvaluationStats()
+        self.limits = limits
+        self.atom_order = atom_order
+        self.new_counter = 0
+        self.active: set[str] = set()
+        self.allow_lists = limits.allow_lists
+        self.governor = governor
+
+    # --------------------------------------------------------------- ticks
+
+    def tick(self) -> None:
+        stats = self.stats
+        stats.steps += 1
+        limit = self.limits.max_steps
+        if limit is not None and stats.steps > limit:
+            raise ResourceLimitExceeded("steps", limit, stats.steps)
+        governor = self.governor
+        if governor is not None:
+            governor.tick()
+
+    def call_tick(self) -> None:
+        self.stats.function_calls += 1
+        self.tick()
+
+    def enter(self, name: str) -> None:
+        """The recursion guard: SRL definitions may not re-enter."""
+        if name in self.active:
+            raise SRLRuntimeError(
+                f"recursive call of {name}: SRL functions are closed "
+                "under composition only, recursion is not part of the language"
+            )
+        self.active.add(name)
+
+    def exit(self, name: str) -> None:
+        self.active.discard(name)
+
+    # ---------------------------------------------------------- operations
+
+    def insert(self, element: Value, target: Value) -> SRLSet:
+        if not isinstance(target, SRLSet):
+            raise SRLRuntimeError(f"insert into a non-set: {target!r}")
+        stats = self.stats
+        stats.inserts += 1
+        limit = self.limits.max_inserts
+        if limit is not None and stats.inserts > limit:
+            raise ResourceLimitExceeded("inserts", limit, stats.inserts)
+        result = target.insert(element)
+        size = len(result)
+        if size > stats.max_set_size:
+            stats.max_set_size = size
+        size_limit = self.limits.max_set_size
+        if size_limit is not None and size > size_limit:
+            raise ResourceLimitExceeded("set size", size_limit, size)
+        return result
+
+    def choose(self, source: Value) -> Value:
+        if not isinstance(source, SRLSet):
+            raise SRLRuntimeError(f"choose applied to a non-set: {source!r}")
+        if self.atom_order is None:
+            return source.choose()  # O(1): the canonical minimum is element 0
+        elements = source.ordered_under(self.atom_order)
+        if not elements:
+            raise SRLRuntimeError("choose applied to the empty set")
+        return elements[0]
+
+    def rest(self, source: Value) -> Value:
+        if not isinstance(source, SRLSet):
+            raise SRLRuntimeError(f"rest applied to a non-set: {source!r}")
+        if self.atom_order is None:
+            return source.rest()  # O(n) slice, no re-sort
+        elements = source.ordered_under(self.atom_order)
+        if not elements:
+            raise SRLRuntimeError("rest applied to the empty set")
+        return SRLSet(elements[1:])
+
+    def new(self, source: Value) -> Value:
+        """An atom guaranteed not to be in ``source``; the caller has passed
+        :meth:`check_new` before evaluating ``source``.
+
+        Equivalent to the unbounded successor of Section 5: the fresh atom's
+        rank is one more than the largest rank occurring anywhere in the set.
+        """
+        if not isinstance(source, SRLSet):
+            raise SRLRuntimeError(f"new applied to a non-set: {source!r}")
+        self.stats.new_values += 1
+        self.new_counter = max(self.new_counter, max_atom_rank(source) + 1)
+        fresh = Atom(self.new_counter)
+        self.new_counter += 1
+        return fresh
+
+    def cons(self, item: Value, target: Value) -> SRLList:
+        if not isinstance(target, SRLList):
+            raise SRLRuntimeError(f"cons onto a non-list: {target!r}")
+        result = target.cons(item)
+        length = len(result)
+        if length > self.stats.max_list_length:
+            self.stats.max_list_length = length
+        return result
+
+    def emptylist(self) -> SRLList:
+        self.check_lists()
+        return SRLList()
+
+    def check_lists(self) -> None:
+        if not self.allow_lists:
+            raise SRLRuntimeError("list values are disabled by the evaluation limits")
+
+    def check_new(self) -> None:
+        if not self.limits.allow_new:
+            raise SRLRuntimeError(
+                "new (invented values) is disabled: the program is being run "
+                "under plain-SRL semantics"
+            )
+
+    def ordered(self, source: SRLSet) -> Sequence[Value]:
+        """The elements of ``source`` in the (possibly permuted) scan order."""
+        if self.atom_order is None:
+            return source.elements
+        return source.ordered_under(self.atom_order)
+
+    def note_acc(self, value: Value) -> None:
+        """The accumulator gauges, after every reduce iteration."""
+        stats = self.stats
+        size = value_size(value)
+        if size > stats.max_accumulator_size:
+            stats.max_accumulator_size = size
+        if isinstance(value, SRLSet):
+            set_size = len(value)
+            if set_size > stats.max_set_size:
+                stats.max_set_size = set_size
+            limit = self.limits.max_set_size
+            if limit is not None and set_size > limit:
+                raise ResourceLimitExceeded("set size", limit, set_size)
+        elif isinstance(value, SRLList):
+            if len(value) > stats.max_list_length:
+                stats.max_list_length = len(value)
+
+
 class Evaluator:
     """Evaluates SRL expressions and programs.
 
@@ -139,6 +298,15 @@ class Evaluator:
         is how the Section 7 order-independence tester varies the
         implementation order without touching the program or the data.
         ``atom_order[rank]`` is the position of the atom with that rank.
+    governor:
+        An optional :class:`~repro.core.governor.Governor` ticked with
+        every step.
+    stats:
+        An optional stats object to fill in place (it stays readable when
+        a run aborts on a limit); ``self.stats`` otherwise starts fresh.
+
+    The counters accumulate over every :meth:`run` / :meth:`call` of one
+    evaluator, and so does the ``new`` counter.
     """
 
     def __init__(
@@ -147,14 +315,14 @@ class Evaluator:
         limits: EvaluationLimits | None = None,
         atom_order: Sequence[int] | None = None,
         governor=None,
+        stats: EvaluationStats | None = None,
     ):
         self.program = program if program is not None else Program()
         self.limits = limits if limits is not None else EvaluationLimits()
         self.atom_order = tuple(atom_order) if atom_order is not None else None
-        self.governor = governor
-        self.stats = EvaluationStats()
-        self._call_stack: list[str] = []
-        self._new_counter = 0
+        self.runtime = Runtime(self.limits, self.atom_order, stats, governor)
+        self.stats = self.runtime.stats
+        self._tick = self.runtime.tick
 
     # ------------------------------------------------------------------ API
 
@@ -180,33 +348,6 @@ class Evaluator:
         return self._apply_definition(definition, list(args), env)
 
     # ------------------------------------------------------------ internals
-
-    def _tick(self) -> None:
-        self.stats.steps += 1
-        limit = self.limits.max_steps
-        if limit is not None and self.stats.steps > limit:
-            raise ResourceLimitExceeded("steps", limit, self.stats.steps)
-        governor = self.governor
-        if governor is not None:
-            governor.tick()
-
-    def _note_set(self, value: Value) -> None:
-        if isinstance(value, SRLSet):
-            size = len(value)
-            if size > self.stats.max_set_size:
-                self.stats.max_set_size = size
-            limit = self.limits.max_set_size
-            if limit is not None and size > limit:
-                raise ResourceLimitExceeded("set size", limit, size)
-        elif isinstance(value, SRLList):
-            if len(value) > self.stats.max_list_length:
-                self.stats.max_list_length = len(value)
-
-    def _ordered_elements(self, value: SRLSet) -> Sequence[Value]:
-        """The elements of ``value`` in the (possibly permuted) scan order."""
-        if self.atom_order is None:
-            return value.elements
-        return value.ordered_under(self.atom_order)
 
     def evaluate(self, expr: Expr, env: Environment) -> Value:
         """Evaluate ``expr`` in ``env``.
@@ -277,82 +418,41 @@ class Evaluator:
 
     def _eval_insert(self, expr: Insert, env: Environment) -> Value:
         element = self.evaluate(expr.element, env)
-        target = self.evaluate(expr.target, env)
-        if not isinstance(target, SRLSet):
-            raise SRLRuntimeError(f"insert into a non-set: {target!r}")
-        self.stats.inserts += 1
-        limit = self.limits.max_inserts
-        if limit is not None and self.stats.inserts > limit:
-            raise ResourceLimitExceeded("inserts", limit, self.stats.inserts)
-        result = target.insert(element)
-        self._note_set(result)
-        return result
+        return self.runtime.insert(element, self.evaluate(expr.target, env))
 
     def _eval_choose(self, expr: Choose, env: Environment) -> Value:
-        source = self.evaluate(expr.source, env)
-        if not isinstance(source, SRLSet):
-            raise SRLRuntimeError(f"choose applied to a non-set: {source!r}")
-        if self.atom_order is None:
-            return source.choose()  # O(1): the canonical minimum is element 0
-        elements = self._ordered_elements(source)
-        if not elements:
-            raise SRLRuntimeError("choose applied to the empty set")
-        return elements[0]
+        return self.runtime.choose(self.evaluate(expr.source, env))
 
     def _eval_rest(self, expr: Rest, env: Environment) -> Value:
-        source = self.evaluate(expr.source, env)
-        if not isinstance(source, SRLSet):
-            raise SRLRuntimeError(f"rest applied to a non-set: {source!r}")
-        if self.atom_order is None:
-            return source.rest()  # O(n) slice, no re-sort
-        elements = self._ordered_elements(source)
-        if not elements:
-            raise SRLRuntimeError("rest applied to the empty set")
-        return SRLSet(elements[1:])
+        return self.runtime.rest(self.evaluate(expr.source, env))
 
     def _eval_emptylist(self, expr: EmptyList, env: Environment) -> Value:
-        if not self.limits.allow_lists:
-            raise SRLRuntimeError("list values are disabled by the evaluation limits")
-        return SRLList()
+        return self.runtime.emptylist()
 
     def _eval_cons(self, expr: ConsList, env: Environment) -> Value:
-        if not self.limits.allow_lists:
-            raise SRLRuntimeError("list values are disabled by the evaluation limits")
+        self.runtime.check_lists()
         item = self.evaluate(expr.item, env)
-        target = self.evaluate(expr.target, env)
-        if not isinstance(target, SRLList):
-            raise SRLRuntimeError(f"cons onto a non-list: {target!r}")
-        result = target.cons(item)
-        self._note_set(result)
-        return result
+        return self.runtime.cons(item, self.evaluate(expr.target, env))
 
     # ------------------------------------------------------------- reducers
-
-    def _apply_lambda(self, fn: Lambda, first: Value, second: Value,
-                      env: Environment) -> Value:
-        """Apply a two-parameter lambda.
-
-        Per rule 9, only the lambda's own parameters may occur free in its
-        body (everything else must be threaded through ``extra``), but the
-        paper's own example programs freely reference the input relations
-        (e.g. ``EDGES`` in Lemma 3.6), so database names and function
-        definitions remain visible.  Enclosing lambda parameters do *not*.
-        """
-        scope = Environment(env.database, {fn.params[0]: first, fn.params[1]: second})
-        return self.evaluate(fn.body, scope)
 
     def _reduce_loop(self, expr: SetReduce | ListReduce, items: Sequence[Value],
                      base: Value, extra: Value, env: Environment,
                      is_set_reduce: bool) -> Value:
         """The shared fold of set-reduce and list-reduce.
 
-        The two lambda scopes are allocated once and their parameter slots
-        rebound per iteration — per rule 9 a lambda body can only see its
-        own two parameters (plus database names and definitions), so no
-        evaluation step can observe or retain the recycled Environment.
+        Per rule 9 only the lambda's own parameters may occur free in its
+        body (everything else must be threaded through ``extra``), but the
+        paper's own example programs freely reference the input relations
+        (e.g. ``EDGES`` in Lemma 3.6), so database names and function
+        definitions remain visible.  Enclosing lambda parameters do *not*.
+        The two lambda scopes are therefore allocated once and their
+        parameter slots rebound per iteration: no evaluation step can
+        observe or retain the recycled Environment.
         """
         app, acc = expr.app, expr.acc
-        stats = self.stats
+        runtime = self.runtime
+        stats = runtime.stats
         database = env.database
         app_scope = Environment(database, {})
         acc_scope = Environment(database, {})
@@ -371,10 +471,7 @@ class Evaluator:
                 acc_bindings[acc_first] = applied
                 acc_bindings[acc_second] = accumulator
                 accumulator = self.evaluate(acc.body, acc_scope)
-                acc_size = value_size(accumulator)
-                if acc_size > stats.max_accumulator_size:
-                    stats.max_accumulator_size = acc_size
-                self._note_set(accumulator)
+                runtime.note_acc(accumulator)
         finally:
             # Flushed here so the counters stay exact even when a resource
             # limit aborts the fold mid-iteration.
@@ -392,12 +489,11 @@ class Evaluator:
         extra = self.evaluate(expr.extra, env)
         # Thread the accumulator through the elements smallest-first (see the
         # module docstring for why this is the ascending direction).
-        return self._reduce_loop(expr, self._ordered_elements(source), base,
+        return self._reduce_loop(expr, self.runtime.ordered(source), base,
                                  extra, env, True)
 
     def _evaluate_list_reduce(self, expr: ListReduce, env: Environment) -> Value:
-        if not self.limits.allow_lists:
-            raise SRLRuntimeError("list values are disabled by the evaluation limits")
+        self.runtime.check_lists()
         source = self.evaluate(expr.source, env)
         if not isinstance(source, SRLList):
             raise SRLRuntimeError(f"list-reduce over a non-list: {source!r}")
@@ -415,18 +511,15 @@ class Evaluator:
                 f"{definition.name} expects {len(definition.params)} arguments, "
                 f"got {len(args)}"
             )
-        if definition.name in self._call_stack:
-            raise SRLRuntimeError(
-                f"recursive call of {definition.name}: SRL functions are closed "
-                "under composition only, recursion is not part of the language"
-            )
-        self.stats.function_calls += 1
-        self._call_stack.append(definition.name)
+        runtime = self.runtime
+        runtime.enter(definition.name)
         try:
+            # The call's step was ticked when its node was visited.
+            runtime.stats.function_calls += 1
             scope = Environment(env.database, dict(zip(definition.params, args)))
             return self.evaluate(definition.body, scope)
         finally:
-            self._call_stack.pop()
+            runtime.exit(definition.name)
 
     def _evaluate_call(self, expr: Call, env: Environment) -> Value:
         definition = self.program.definitions.get(expr.name)
@@ -436,27 +529,8 @@ class Evaluator:
         return self._apply_definition(definition, args, env)
 
     def _evaluate_new(self, expr: New, env: Environment) -> Value:
-        if not self.limits.allow_new:
-            raise SRLRuntimeError(
-                "new (invented values) is disabled: the program is being run "
-                "under plain-SRL semantics"
-            )
-        source = self.evaluate(expr.source, env)
-        if not isinstance(source, SRLSet):
-            raise SRLRuntimeError(f"new applied to a non-set: {source!r}")
-        self.stats.new_values += 1
-        return self._fresh_atom(source)
-
-    def _fresh_atom(self, source: SRLSet) -> Value:
-        """An element guaranteed not to be in ``source``.
-
-        Equivalent to the unbounded successor of Section 5: the fresh atom's
-        rank is one more than the largest rank occurring anywhere in the set.
-        """
-        self._new_counter = max(self._new_counter, max_atom_rank(source) + 1)
-        fresh = Atom(self._new_counter)
-        self._new_counter += 1
-        return fresh
+        self.runtime.check_new()
+        return self.runtime.new(self.evaluate(expr.source, env))
 
 
 #: The evaluator's per-node-type dispatch table.  Built once at import time;

@@ -126,10 +126,9 @@ class Budget:
 class DegradationEvent:
     """A record of one rung down the degradation ladder.
 
-    ``stage`` names where the failure happened (``"compile"``,
-    ``"optimize"``, ``"plan"``, ``"memo"``); ``fallback`` what the engine
-    did instead (``"interp"``, ``"raw-plan"``, ``"tuple"``,
-    ``"no-memo"``); ``error`` the repr of
+    ``stage`` names where the failure happened (``"optimize"``,
+    ``"plan"``, ``"memo"``); ``fallback`` what the engine did instead
+    (``"raw-plan"``, ``"tuple"``, ``"no-memo"``); ``error`` the repr of
     the exception that triggered it.  Sessions collect these instead of
     failing the query.
     """

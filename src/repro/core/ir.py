@@ -76,6 +76,7 @@ __all__ = [
     "IRProgram",
     "lower_program",
     "lower_expression",
+    "free_registers",
 ]
 
 
@@ -393,3 +394,44 @@ def count_instructions(block: Block) -> int:
         elif instr.op is Op.REDUCE:
             total += count_instructions(instr.args[4]) + count_instructions(instr.args[5])
     return total
+
+
+#: Opcodes whose operands are all registers.
+_REGISTER_ARGS = frozenset({Op.EQUAL, Op.LESSEQ, Op.INSERT, Op.CONS})
+#: Opcodes whose first operand is their only register.
+_FIRST_ARG = frozenset({Op.SELECT, Op.CHOOSE, Op.REST, Op.NEW, Op.CHECK_SOURCE})
+
+
+def free_registers(block: Block) -> set[int]:
+    """The registers ``block`` reads but does not define: its inputs when
+    it is emitted as a function of its own.
+
+    Lowering gives every value a fresh register, so a register defined
+    anywhere inside the block is defined there before it is read.  By rule
+    9 a lambda body's free registers are among its two parameters.
+    """
+    read: set[int] = set()
+    defined: set[int] = set()
+    pending = [block]
+    while pending:
+        block = pending.pop()
+        read.add(block.result)
+        for instr in block.instrs:
+            op, args = instr.op, instr.args
+            defined.add(instr.dest)
+            if op in _REGISTER_ARGS:
+                read.update(args)
+            elif op in _FIRST_ARG:
+                read.add(args[0])
+            elif op is Op.TUPLE:
+                read.update(args[0])
+            elif op is Op.CALL:
+                read.update(args[1])
+            elif op is Op.IF:
+                read.add(args[0])
+                pending += args[1:3]
+            elif op is Op.REDUCE:
+                read.update(args[1:4])
+                defined.update(args[6] + args[7])
+                pending += args[4:6]
+    return read - defined

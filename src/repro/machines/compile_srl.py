@@ -292,7 +292,7 @@ class CompiledMachine:
 
     def run(self, input_string: str, tape_length: int | None = None,
             limits: EvaluationLimits | None = None,
-            backend: str = "interp") -> bool:
+            backend: str = "compiled") -> bool:
         """Evaluate the compiled SRL program on ``input_string`` and return
         the acceptance verdict."""
         session = Session(self.program, limits, backend=backend)
@@ -302,13 +302,12 @@ class CompiledMachine:
 
     def run_with_stats(self, input_string: str,
                        limits: EvaluationLimits | None = None,
-                       backend: str = "interp"):
+                       backend: str = "compiled"):
         """Like :meth:`run` but also return the engine statistics (used by
         the Proposition 6.2 benchmark to confirm the O(n^2) cost).
 
-        The default backend stays the interpreter because the benchmark's
-        step counts are defined in AST-node visits (Proposition 6.1's
-        ``n^{ad}`` measure); pass ``backend="compiled"`` for raw speed.
+        Step counts in AST-node visits (Proposition 6.1's ``n^{ad}``
+        measure) need ``backend="interp"``.
         """
         session = Session(self.program, limits, backend=backend)
         accepted = session.run(self.database_for(input_string))

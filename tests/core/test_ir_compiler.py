@@ -27,6 +27,18 @@ def _main_ir(expr_text: str, program: Program | None = None):
     return lower_expression(parse_expression(expr_text), program).main
 
 
+def _assert_compiled_matches_interp(program, database):
+    session = Session(program)
+    interp = Session(program, backend="interp")
+    assert session.run(database) == interp.run(database)
+    compiled_stats = session.stats.as_dict()
+    interp_stats = interp.stats.as_dict()
+    assert compiled_stats.pop("steps") <= interp_stats.pop("steps")
+    # Every other counter is one of the backends' invariant counters.
+    assert compiled_stats == interp_stats
+    assert session.degradations == []
+
+
 class TestLowering:
     def test_constants_fold_to_a_single_instruction(self):
         block = _main_ir("(= (sel 1 (tuple (atom 1) (atom 2))) (atom 1))").block
@@ -162,31 +174,43 @@ class TestCompiledSemantics:
         compiled = compile_program(parse_program("(insert (atom 1) emptyset)"))
         assert "rt.insert" in compiled.source
 
-    def test_deeply_nested_reduces_fall_back_to_the_interpreter(self):
-        # CPython caps statically nested blocks at 20; a Session runs
-        # uncompilable programs on the interpreter instead of erroring.
-        from repro.core.errors import SRLCompilationError
-
-        # Only reduces inside lambda *bodies* nest loop blocks (a reduce in
-        # source position emits sequentially), so nest through the app.
-        text = "x"
-        for _ in range(25):
-            text = (f"(set-reduce S (lambda (x e) {text})"
-                    " (lambda (a r) (insert a r)) emptyset emptyset)")
-        program = parse_program(text)
-        with pytest.raises(SRLCompilationError):
-            compile_program(program)
+    @pytest.mark.parametrize("depth", [25, 100])
+    @pytest.mark.parametrize("through", ["app", "acc"])
+    def test_any_reduce_nesting_compiles_and_matches_the_interpreter(
+            self, depth, through):
+        # CPython caps a function at 20 statically nested blocks; deeper
+        # lambda bodies are emitted as generated functions of their own
+        # parameters.  Every level reads its parameters, so a parameter
+        # passed wrongly across an outlined body changes the value.
+        body = "(insert x e)" if through == "app" else "(insert a r)"
+        for level in range(depth):
+            outer = level == depth - 1
+            if through == "app":
+                body = (f"(set-reduce S (lambda (x e) {body})"
+                        " (lambda (a r) (insert a r)) emptyset"
+                        f" {'emptyset' if outer else 'e'})")
+            else:
+                body = (f"(set-reduce S (lambda (x e) x) (lambda (a r) {body})"
+                        f" {'emptyset' if outer else 'r'}"
+                        f" {'emptyset' if outer else 'a'})")
+        program = parse_program(body)
         database = {"S": make_set(Atom(0))}
-        session = Session(program)
-        interp_value = Session(program, backend="interp").run(database)
-        assert session.run(database) == interp_value
-        # The failed compile is cached: a second run does not retry it.
-        assert session._compiled is None
-        assert session.run(database) == interp_value
-        # The fallback is logged once per rejected compile, not per run.
-        [event] = session.degradations
-        assert (event.stage, event.fallback) == ("compile", "interp")
-        assert "SRLCompilationError" in event.error
+        compile_program(program)
+        _assert_compiled_matches_interp(program, database)
+
+    def test_deep_if_nesting_compiles_and_matches_the_interpreter(self):
+        # Past ~100 indentation levels an `if` arm is emitted as a function
+        # of the registers it reads; every arm here reads the reduce's `x`.
+        body = "(insert x e)"
+        for level in range(150):
+            body = f"(if (= x (atom {level})) (insert (atom {level}) e) {body})"
+        program = parse_program(
+            f"(set-reduce S (lambda (x e) {body}) (lambda (a r) (insert a r))"
+            " emptyset emptyset)")
+        # One function for main plus the outlined arms.
+        assert compile_program(program).source.count("def ") > 1
+        database = {"S": make_set(*(Atom(i) for i in range(0, 200, 7)))}
+        _assert_compiled_matches_interp(program, database)
 
 
 class TestSession:

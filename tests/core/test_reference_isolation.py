@@ -1,5 +1,6 @@
-"""The pure oracles in :mod:`repro.core.reference` are test oracles only:
-no production module may import them."""
+"""Reference code stays off the production paths: the pure oracles in
+:mod:`repro.core.reference` are test oracles only, and the tree-walking
+interpreter runs only where the engine is asked for it by backend name."""
 
 from __future__ import annotations
 
@@ -9,6 +10,9 @@ from pathlib import Path
 import repro
 
 ORACLE = "repro.core.reference"
+INTERPRETER = "repro.core.evaluator.Evaluator"
+#: The one module that runs the interpreter, and the package re-export.
+INTERPRETER_USERS = {"repro.core.engine", "repro.core"}
 SOURCE_ROOT = Path(repro.__file__).resolve().parent
 
 
@@ -51,5 +55,41 @@ def test_production_code_never_imports_the_oracles():
         if _module_name(path) != ORACLE
         and any(module == ORACLE or module.startswith(ORACLE + ".")
                 for module in _imported_modules(path))
+    ]
+    assert offenders == []
+
+
+def test_only_the_engine_imports_the_interpreter():
+    offenders = [
+        str(path.relative_to(SOURCE_ROOT.parent))
+        for path in sorted(SOURCE_ROOT.rglob("*.py"))
+        if _module_name(path) not in INTERPRETER_USERS
+        and {INTERPRETER, "repro.core.Evaluator"} & set(_imported_modules(path))
+    ]
+    assert offenders == []
+
+
+def _backend_defaults(path: Path):
+    """``(function name, default)`` for every ``backend`` parameter with a
+    literal default in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        pairs = list(zip(positional[len(positional) - len(arguments.defaults):],
+                         arguments.defaults))
+        pairs += zip(arguments.kwonlyargs, arguments.kw_defaults)
+        for arg, default in pairs:
+            if arg.arg == "backend" and isinstance(default, ast.Constant):
+                yield node.name, default.value
+
+
+def test_no_entry_point_defaults_to_the_interpreter():
+    offenders = [
+        f"{path.relative_to(SOURCE_ROOT.parent)}:{name}"
+        for path in sorted(SOURCE_ROOT.rglob("*.py"))
+        for name, default in _backend_defaults(path)
+        if default == "interp"
     ]
     assert offenders == []

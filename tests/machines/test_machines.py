@@ -149,8 +149,9 @@ class TestCompiledMachines:
         # Proposition 6.2's cost analysis: the evaluator cost grows roughly
         # quadratically (each of the n simulated steps scans the tape).
         compiled = compile_machine(parity_machine())
-        _, stats_small = compiled.run_with_stats("1" * 8)
-        _, stats_large = compiled.run_with_stats("1" * 16)
+        # Steps in AST-node visits: the interpreter's unit.
+        _, stats_small = compiled.run_with_stats("1" * 8, backend="interp")
+        _, stats_large = compiled.run_with_stats("1" * 16, backend="interp")
         ratio = stats_large.steps / stats_small.steps
         assert 2.5 < ratio < 6.0
 
