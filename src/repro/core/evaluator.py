@@ -37,6 +37,7 @@ Resource limits (steps / inserts / set sizes) can be configured through
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -138,7 +139,7 @@ class Runtime:
     """
 
     __slots__ = ("stats", "limits", "atom_order", "new_counter", "active",
-                 "allow_lists", "governor")
+                 "allow_lists", "governor", "step_cap")
 
     def __init__(self, limits: EvaluationLimits, atom_order: tuple[int, ...] | None,
                  stats: EvaluationStats | None = None, governor=None):
@@ -151,15 +152,27 @@ class Runtime:
         self.active: set[str] = set()
         self.allow_lists = limits.allow_lists
         self.governor = governor
+        #: A tick whose step count passes this calls :meth:`check_steps`:
+        #: every tick under a governor, otherwise only the one that exceeds
+        #: ``max_steps``.  Compiled code compares against it inline.
+        max_steps = limits.max_steps
+        self.step_cap = (-1 if governor is not None
+                         else math.inf if max_steps is None else max_steps)
 
     # --------------------------------------------------------------- ticks
 
     def tick(self) -> None:
         stats = self.stats
         stats.steps += 1
+        if stats.steps > self.step_cap:
+            self.check_steps()
+
+    def check_steps(self) -> None:
+        """The step limit and the governor, for a tick past :attr:`step_cap`."""
         limit = self.limits.max_steps
-        if limit is not None and stats.steps > limit:
-            raise ResourceLimitExceeded("steps", limit, stats.steps)
+        steps = self.stats.steps
+        if limit is not None and steps > limit:
+            raise ResourceLimitExceeded("steps", limit, steps)
         governor = self.governor
         if governor is not None:
             governor.tick()

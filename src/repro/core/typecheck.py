@@ -57,9 +57,9 @@ from .types import (
     TupleType,
     Type,
     TypeVar,
+    _unify_into,
     apply_substitution,
     fresh_type_var,
-    unify,
 )
 from .values import Atom, SRLList, SRLSet, SRLTuple, Value
 
@@ -82,7 +82,7 @@ def type_of_value(value: Value) -> Type:
         subst: Substitution = {}
         element_type: Type = type_of_value(value.elements[0])
         for element in value.elements[1:]:
-            subst = unify(element_type, type_of_value(element), subst)
+            _unify_into(element_type, type_of_value(element), subst)
         return SetType(apply_substitution(element_type, subst))
     if isinstance(value, SRLList):
         if value.is_empty():
@@ -90,7 +90,7 @@ def type_of_value(value: Value) -> Type:
         subst = {}
         element_type = type_of_value(value.items[0])
         for item in value.items[1:]:
-            subst = unify(element_type, type_of_value(item), subst)
+            _unify_into(element_type, type_of_value(item), subst)
         return ListType(apply_substitution(element_type, subst))
     raise SRLTypeError(f"not an SRL value: {value!r}")
 
@@ -181,10 +181,10 @@ class TypeChecker:
             return self._note(env[expr.name])
         if isinstance(expr, If):
             cond_type = self._infer(expr.cond, env)
-            self._subst = unify(cond_type, BOOL, self._subst)
+            _unify_into(cond_type, BOOL, self._subst)
             then_type = self._infer(expr.then_branch, env)
             else_type = self._infer(expr.else_branch, env)
-            self._subst = unify(then_type, else_type, self._subst)
+            _unify_into(then_type, else_type, self._subst)
             return self._note(apply_substitution(then_type, self._subst))
         if isinstance(expr, TupleExpr):
             return self._note(TupleType(tuple(self._infer(item, env) for item in expr.items)))
@@ -204,11 +204,11 @@ class TypeChecker:
         if isinstance(expr, (Equal, LessEq)):
             left = self._infer(expr.left, env)
             right = self._infer(expr.right, env)
-            self._subst = unify(left, right, self._subst)
+            _unify_into(left, right, self._subst)
             if isinstance(expr, LessEq):
                 resolved = apply_substitution(left, self._subst)
                 if isinstance(resolved, TypeVar):
-                    self._subst = unify(resolved, ATOM, self._subst)
+                    _unify_into(resolved, ATOM, self._subst)
                 elif not isinstance(resolved, (AtomType, NatType)):
                     raise SRLTypeError(f"<= compares atoms or naturals, not {resolved}")
             return self._note(BOOL)
@@ -217,7 +217,7 @@ class TypeChecker:
         if isinstance(expr, Insert):
             element_type = self._infer(expr.element, env)
             target_type = self._infer(expr.target, env)
-            self._subst = unify(target_type, SetType(element_type), self._subst)
+            _unify_into(target_type, SetType(element_type), self._subst)
             return self._note(apply_substitution(target_type, self._subst))
         if isinstance(expr, SetReduce):
             return self._infer_reduce(expr, env, SetType)
@@ -227,24 +227,24 @@ class TypeChecker:
             return self._infer_call(expr, env)
         if isinstance(expr, New):
             source = self._infer(expr.source, env)
-            self._subst = unify(source, SetType(ATOM), self._subst)
+            _unify_into(source, SetType(ATOM), self._subst)
             return self._note(ATOM)
         if isinstance(expr, Choose):
             element = fresh_type_var()
             source = self._infer(expr.source, env)
-            self._subst = unify(source, SetType(element), self._subst)
+            _unify_into(source, SetType(element), self._subst)
             return self._note(apply_substitution(element, self._subst))
         if isinstance(expr, Rest):
             element = fresh_type_var()
             source = self._infer(expr.source, env)
-            self._subst = unify(source, SetType(element), self._subst)
+            _unify_into(source, SetType(element), self._subst)
             return self._note(apply_substitution(source, self._subst))
         if isinstance(expr, EmptyList):
             return self._note(ListType(fresh_type_var()))
         if isinstance(expr, ConsList):
             item_type = self._infer(expr.item, env)
             target_type = self._infer(expr.target, env)
-            self._subst = unify(target_type, ListType(item_type), self._subst)
+            _unify_into(target_type, ListType(item_type), self._subst)
             return self._note(apply_substitution(target_type, self._subst))
         if isinstance(expr, Lambda):
             raise SRLTypeError("a lambda can only appear as the app/acc of a reduce")
@@ -254,7 +254,7 @@ class TypeChecker:
                       container) -> Type:
         element_type = fresh_type_var("elem")
         source_type = self._infer(expr.source, env)
-        self._subst = unify(source_type, container(element_type), self._subst)
+        _unify_into(source_type, container(element_type), self._subst)
 
         base_type = self._infer(expr.base, env)
         extra_type = self._infer(expr.extra, env)
@@ -270,7 +270,7 @@ class TypeChecker:
         acc_env[expr.acc.params[0]] = apply_substitution(applied_type, self._subst)
         acc_env[expr.acc.params[1]] = apply_substitution(base_type, self._subst)
         acc_type = self._infer(expr.acc.body, acc_env)
-        self._subst = unify(acc_type, base_type, self._subst)
+        _unify_into(acc_type, base_type, self._subst)
 
         resolved = apply_substitution(base_type, self._subst)
         self.accumulator_types.append(resolved)
@@ -297,7 +297,7 @@ class TypeChecker:
             definition.param_types or (None,) * len(definition.params),
         ):
             if annotation is not None:
-                self._subst = unify(param_type, annotation, self._subst)
+                _unify_into(param_type, annotation, self._subst)
             body_env[param] = apply_substitution(param_type, self._subst)
 
         self._call_stack.append(expr.name)
@@ -307,7 +307,7 @@ class TypeChecker:
             self._call_stack.pop()
 
         if definition.return_type is not None:
-            self._subst = unify(result, definition.return_type, self._subst)
+            _unify_into(result, definition.return_type, self._subst)
         resolved = apply_substitution(result, self._subst)
         self.definition_types[expr.name] = resolved
         return self._note(resolved)

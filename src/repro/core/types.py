@@ -248,7 +248,12 @@ Substitution = dict[str, Type]
 
 
 def apply_substitution(t: Type, subst: Substitution) -> Type:
-    """Apply ``subst`` (a map from type-variable names to types) to ``t``."""
+    """Apply ``subst`` (a map from type-variable names to types) to ``t``.
+
+    Returns ``t`` itself when nothing in it is bound.
+    """
+    if not subst:
+        return t
     if isinstance(t, TypeVar):
         replacement = subst.get(t.name)
         if replacement is None:
@@ -256,11 +261,11 @@ def apply_substitution(t: Type, subst: Substitution) -> Type:
         # Chase chains created by union-find style composition.
         return apply_substitution(replacement, subst)
     if isinstance(t, TupleType):
-        return TupleType(tuple(apply_substitution(f, subst) for f in t.fields))
-    if isinstance(t, SetType):
-        return SetType(apply_substitution(t.element, subst))
-    if isinstance(t, ListType):
-        return ListType(apply_substitution(t.element, subst))
+        fields = tuple([apply_substitution(f, subst) for f in t.fields])
+        return t if fields == t.fields else TupleType(fields)
+    if isinstance(t, (SetType, ListType)):
+        element = apply_substitution(t.element, subst)
+        return t if element is t.element else type(t)(element)
     return t
 
 
@@ -276,35 +281,46 @@ def _occurs(name: str, t: Type, subst: Substitution) -> bool:
 
 
 def unify(t1: Type, t2: Type, subst: Substitution | None = None) -> Substitution:
-    """Unify two types, extending and returning the substitution.
+    """Unify two types, returning ``subst`` extended (``subst`` itself is
+    left as it was).
 
     Raises :class:`SRLTypeError` when the types cannot be made equal.  This
     is only needed because ``emptyset`` is polymorphic; everything else in
     the language is monomorphic.
     """
     subst = dict(subst) if subst is not None else {}
+    _unify_into(t1, t2, subst)
+    return subst
+
+
+def _unify_into(t1: Type, t2: Type, subst: Substitution) -> None:
+    """:func:`unify`, extending ``subst`` in place.
+
+    On a :class:`SRLTypeError` ``subst`` may hold part of the extension, so
+    only a caller that abandons ``subst`` on failure (the type checker) may
+    use this instead of :func:`unify`.
+    """
     t1 = apply_substitution(t1, subst)
     t2 = apply_substitution(t2, subst)
 
-    if t1 == t2:
-        return subst
+    if t1 is t2 or t1 == t2:
+        return
     if isinstance(t1, TypeVar):
         if _occurs(t1.name, t2, subst):
             raise SRLTypeError(f"occurs check failed: {t1} in {t2}")
         subst[t1.name] = t2
-        return subst
-    if isinstance(t2, TypeVar):
-        return unify(t2, t1, subst)
-    if isinstance(t1, SetType) and isinstance(t2, SetType):
-        return unify(t1.element, t2.element, subst)
-    if isinstance(t1, ListType) and isinstance(t2, ListType):
-        return unify(t1.element, t2.element, subst)
-    if isinstance(t1, TupleType) and isinstance(t2, TupleType):
+    elif isinstance(t2, TypeVar):
+        _unify_into(t2, t1, subst)
+    elif isinstance(t1, SetType) and isinstance(t2, SetType):
+        _unify_into(t1.element, t2.element, subst)
+    elif isinstance(t1, ListType) and isinstance(t2, ListType):
+        _unify_into(t1.element, t2.element, subst)
+    elif isinstance(t1, TupleType) and isinstance(t2, TupleType):
         if t1.width != t2.width:
             raise SRLTypeError(
                 f"cannot unify tuple types of different widths: {t1} vs {t2}"
             )
         for f1, f2 in zip(t1.fields, t2.fields):
-            subst = unify(f1, f2, subst)
-        return subst
-    raise SRLTypeError(f"cannot unify {t1} with {t2}")
+            _unify_into(f1, f2, subst)
+    else:
+        raise SRLTypeError(f"cannot unify {t1} with {t2}")

@@ -66,7 +66,7 @@ from repro.queries.relational import (
     employees_in_department_program,
     first_employee_is_senior_program,
 )
-from repro.structures import random_alternating_graph, random_permutations
+from repro.structures import path_graph, random_alternating_graph, random_permutations
 
 ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = Path(__file__).resolve().parent / "classifier_golden.json"
@@ -130,7 +130,10 @@ def corpus() -> dict[str, tuple]:
         "even": (even_program(), even_database(4)),
         "cardinality_parity": (cardinality_parity_program(), even_database(4)),
         "reachability_tc": (reachability_program(), graph_database(graph)),
-        "reachability_dtc": (deterministic_reachability_program(), graph_database(graph)),
+        # The alternating graph above has no E edges, which would leave
+        # EDGES untypable; the DTC program gets a path with edges instead.
+        "reachability_dtc": (deterministic_reachability_program(),
+                             graph_database(path_graph(4), 0, 3)),
         "relational_department": (employees_in_department_program(0), company),
         "relational_senior": (departments_fully_senior_program(), company),
         "relational_pairs": (colleague_pairs_program(), company),

@@ -3,14 +3,18 @@ instrumentation parity and the Session facade."""
 
 from __future__ import annotations
 
+import classifier_corpus
 import pytest
 
 from repro.core import (
     Atom,
+    Budget,
+    DeadlineExceeded,
     EvaluationLimits,
     Session,
     compile_program,
     make_set,
+    make_tuple,
     parse_expression,
     parse_program,
     run_expression,
@@ -19,6 +23,7 @@ from repro.core import (
 )
 from repro.core import builders as b
 from repro.core.ast import Program
+from repro.core.compiler import _CODE_CACHE_SIZE, _code_for
 from repro.core.errors import ResourceLimitExceeded, SRLNameError, SRLRuntimeError
 from repro.core.ir import Op, count_instructions, lower_expression, lower_program
 
@@ -211,6 +216,107 @@ class TestCompiledSemantics:
         assert compile_program(program).source.count("def ") > 1
         database = {"S": make_set(*(Atom(i) for i in range(0, 200, 7)))}
         _assert_compiled_matches_interp(program, database)
+
+
+def _outcome(session, database, steps=True):
+    """The value or the error of one run, beside the counters (``steps``,
+    which only the compiled backends share, when asked)."""
+    try:
+        result = ("value", session.run(database))
+    except SRLRuntimeError as error:
+        result = (type(error), str(error))
+    stats = session.stats.as_dict()
+    if not steps:
+        del stats["steps"]
+    return result, stats
+
+
+#: Corpus programs with a database and a main expression.
+_RUNNABLE = {name: entry for name, entry in classifier_corpus.corpus().items()
+             if entry[1] is not None and entry[0].main is not None}
+
+
+class TestInlinedGuards:
+    """The generated code inlines the checks it makes on every operation;
+    each falls back to the out-of-line helper, so values, errors and
+    counters are those of the helper."""
+
+    @pytest.mark.parametrize("expr, value", [
+        (b.sel(1, b.var("X")), Atom(1)),
+        (b.sel(3, b.var("X")), make_tuple(Atom(1), Atom(2))),
+        (b.sel(0, b.var("X")), make_tuple(Atom(1), Atom(2))),
+        (b.sel(2, b.sel(1, b.var("X"))), make_tuple(make_tuple(Atom(1)), Atom(2))),
+    ])
+    def test_select_errors_match_the_interpreter(self, expr, value):
+        program = Program()
+        program.main = expr
+        compiled = _outcome(Session(program), {"X": value}, steps=False)
+        assert compiled == _outcome(Session(program, backend="interp"), {"X": value},
+                                    steps=False)
+        assert compiled[0][0] is SRLRuntimeError
+
+    @pytest.mark.parametrize("acc", [
+        "r",                                           # never changes the base
+        "(if (= a (atom 0)) r (insert a r))",          # unchanged, then grows
+        "(if (= a (atom 2)) emptyset r)",              # unchanged, then shrinks
+    ])
+    def test_accumulator_gauges_when_the_base_comes_back_unchanged(self, acc):
+        program = parse_program(
+            f"(set-reduce S (lambda (x e) x) (lambda (a r) {acc}) B emptyset)")
+        database = {"S": make_set(Atom(0), Atom(1), Atom(2)),
+                    "B": make_set(Atom(5), Atom(6), Atom(7))}
+        _assert_compiled_matches_interp(program, database)
+        for limit in (2, 3, 4):
+            limits = EvaluationLimits(max_set_size=limit)
+            assert _outcome(Session(program, limits), database, steps=False) == \
+                _outcome(Session(program, limits, backend="interp"), database, steps=False)
+
+    @pytest.mark.parametrize("name", sorted(_RUNNABLE))
+    def test_step_budgets_around_the_true_count(self, name):
+        program, database = _RUNNABLE[name]
+        (kind, value), stats = _outcome(Session(program), database)
+        assert kind == "value"
+        steps = stats["steps"]
+        # Under a governor every tick goes out of line; nothing else moves.
+        for budget in (None, Budget(deadline_seconds=3600, check_interval=1)):
+            if steps:  # a program that never ticks cannot run out of steps
+                with pytest.raises(ResourceLimitExceeded, match=(
+                        f"^steps limit exceeded: used {steps}, limit {steps - 1}$")):
+                    Session(program, EvaluationLimits(max_steps=steps - 1),
+                            budget=budget).run(database)
+            for limit in (steps, steps + 1, None):
+                session = Session(program, EvaluationLimits(max_steps=limit),
+                                  budget=budget)
+                assert _outcome(session, database) == (("value", value), stats)
+
+    def test_deadline_trips_inside_a_long_compiled_loop(self):
+        # ~10^6 iterations unless stopped; the first clock check past the
+        # deadline stops it.
+        program = parse_program(
+            "(set-reduce S (lambda (x s) (set-reduce s (lambda (y t)"
+            " (set-reduce t (lambda (z u) z) (lambda (a r) r) true t))"
+            " (lambda (a r) r) true s)) (lambda (a r) r) true S)")
+        database = {"S": make_set(*(Atom(i) for i in range(100)))}
+        session = Session(program, budget=Budget(deadline_seconds=0.05))
+        with pytest.raises(DeadlineExceeded):
+            session.run(database)
+        assert 0 < session.stats.set_reduce_iterations < 100 ** 3
+
+
+class TestCodeCache:
+    def test_programs_that_differ_in_constants_share_code(self):
+        one = compile_program(parse_program("(atom 1)"))
+        two = compile_program(parse_program("(atom 2)"))
+        assert one.source == two.source
+        assert one._main.__code__ is two._main.__code__
+        assert one.run()[0] == Atom(1) and two.run()[0] == Atom(2)
+
+    def test_the_cache_stays_within_its_bound(self):
+        for index in range(_CODE_CACHE_SIZE + 10):
+            program = parse_program(f"(insert X{index} emptyset)")
+            compiled = compile_program(program)
+            assert compiled.run({f"X{index}": Atom(index)})[0] == make_set(Atom(index))
+        assert _code_for.cache_info().currsize == _CODE_CACHE_SIZE
 
 
 class TestSession:

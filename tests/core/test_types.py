@@ -101,6 +101,27 @@ class TestUnification:
         subst = unify(left, right)
         assert apply_substitution(left, subst) == right
 
+    def test_unify_leaves_its_argument_alone(self):
+        alpha, beta = fresh_type_var(), fresh_type_var()
+        given = unify(alpha, ATOM)
+        extended = unify(beta, BOOL, given)
+        assert given == {alpha.name: ATOM}
+        assert extended == {alpha.name: ATOM, beta.name: BOOL}
+        # A failure part-way through a tuple keeps the earlier fields' bindings
+        # out of the caller's substitution too.
+        with pytest.raises(SRLTypeError):
+            unify(tuple_of(beta, ATOM), tuple_of(BOOL, BOOL), given)
+        assert given == {alpha.name: ATOM}
+
+    def test_apply_returns_the_type_itself_when_nothing_is_bound(self):
+        alpha, beta = fresh_type_var(), fresh_type_var()
+        subst = unify(alpha, ATOM)
+        for t in (set_of(tuple_of(beta, BOOL)), list_of(beta), tuple_of(ATOM, BOOL)):
+            assert apply_substitution(t, subst) is t
+            assert apply_substitution(t, {}) is t
+        bound = set_of(tuple_of(alpha, beta))
+        assert apply_substitution(bound, subst) == set_of(tuple_of(ATOM, beta))
+
 
 class TestGroundness:
     def test_is_ground(self):
