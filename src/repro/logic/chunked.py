@@ -31,6 +31,8 @@ so a ``max_bytes_resident`` budget bites), and closures check
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.core.columnar import (
     _functional_csr,
     closure_csr,
@@ -61,6 +63,17 @@ def _bits_of(members, n: int) -> int:
     for member in members:
         buffer[member >> 3] |= 1 << (member & 7)
     return int.from_bytes(buffer, "little")
+
+
+def _within(members, mask: int):
+    """The sorted ``members`` whose bit is set in ``mask``, one slice found
+    by bisection.  ``mask`` is an interval: a comparison of one column
+    with ``zero`` or ``max`` selects one, and so does an intersection of
+    such comparisons."""
+    if not mask:
+        return ()
+    low, high = (mask & -mask).bit_length() - 1, mask.bit_length()
+    return members[bisect_left(members, low):bisect_left(members, high)]
 
 
 class _Wide(_Columns):
@@ -225,14 +238,15 @@ class _Wide(_Columns):
                            deterministic=deterministic, governor=governor,
                            stats=stats)
 
-    def reach(self, raw, start, deterministic, reverse, governor):
+    def reach(self, raw, start, deterministic, reverse, governor, mask):
         n = self.n
         offsets, targets = self._csr(raw)
         if deterministic:
             offsets, targets = _functional_csr(offsets, targets, n)
         if reverse:
             offsets, targets = transpose_csr(offsets, targets, n)
-        return reach_from_csr(offsets, targets, n, start, governor=governor)
+        reached = reach_from_csr(offsets, targets, n, start, governor=governor)
+        return len(reached), _within(reached, mask)
 
     def select_fn(self, comparisons: tuple):
         n = self.n

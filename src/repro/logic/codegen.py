@@ -36,15 +36,17 @@ counts its hits on ``PlanStats.codegen_cache_hits``.
 Work that does not change while a plan runs is done once per execution.
 The walker memoizes each ``RelationScan`` payload (the structure cannot
 change during a walk; a memo hit is still noted, so every counter keeps
-its value).  At dense width the execution's :class:`_Dense` memoizes, per
-payload, its converse (entered both ways, so flipping a converse back is
-free) and its successor lists (so each later ``compose`` with it as the
-left operand is one OR per edge).  Those memos rely on dense payloads
-never being mutated: ``own2`` is the identity and ``merge2`` builds a new
-list.  The wide width's ``merge2`` updates owned dicts in place, so it
-keeps no such memo.  The memos belong to one execution: every execution
-builds its own representation and binds its kernels to it, so threads
-running one compiled plan at once share nothing mutable.
+its value).  At dense width a flip is O(1): a payload's converse is a
+:class:`_Converse` tag whose rows are built only when a kernel reads
+them, and flipping it back gives the source.  The execution's
+:class:`_Dense` memoizes, per payload, its successor lists (so each
+later ``compose`` with it as the left operand is one OR per edge).
+Those memos rely on dense payloads never being mutated: ``own2`` is the
+identity and ``merge2`` builds a new list.  The wide width's ``merge2``
+updates owned dicts in place, so it keeps no such memo.  The memos
+belong to one execution: every execution builds its own representation
+and binds its kernels to it, so threads running one compiled plan at
+once share nothing mutable.
 
 Nodes with no columnar kernel (``Closure`` over k-tuples with k ≥ 2, and
 any node type the walker does not know) run at dense width as *islands*:
@@ -67,7 +69,9 @@ merges, there is no hash index to probe.
 from __future__ import annotations
 
 import threading
+from functools import reduce
 from itertools import product as _cartesian
+from operator import or_
 from typing import Callable
 
 from repro.core.columnar import (
@@ -289,46 +293,74 @@ class _Columns:
 _DERIVED_BYTES = 1 << 26
 
 
+def _or_rows(*operands: list[int]) -> list[int]:
+    return or_rows(operands)
+
+
+class _Converse:
+    """A dense arity-2 payload held as the converse of ``source``: row
+    ``y`` has bit ``x`` iff ``source[x]`` has bit ``y``.  ``rows`` is
+    built by one transpose the first time a kernel reads the rows in this
+    orientation, and kept."""
+
+    __slots__ = ("source", "rows")
+
+    def __init__(self, source: list[int]):
+        self.source = source
+        self.rows = None
+
+
 class _Dense(_Columns):
     """Arity 2 up to the dense width: bitmask rows, ``rows[x]`` the bitset
     of ``y`` with ``(x, y)`` in the relation — relational algebra as ``n``
     big-int operations.
 
-    One instance serves one execution.  ``derived`` memoizes what is
-    derived from a payload, keyed by its ``id``: ``[payload, converse,
-    successor lists]``.  A converse is entered both ways, so transposing
-    it back is a hit, and holding the payload keeps its ``id`` from being
-    recycled while the memo lives.  This is sound only because no dense
-    payload is ever mutated: ``own2`` is the identity and every kernel
-    builds a new list.  The memo starts over once it holds
-    :data:`_DERIVED_BYTES` of payloads at the dense worst case, so a long
-    fixed point over a wide universe cannot keep every round alive.
+    A payload is a row list or a :class:`_Converse` of one.  Flipping is
+    O(1): a row list becomes its converse, a converse its source.  Kernels
+    that commute with converse run on the source and tag the result —
+    and/or/minus of converses (the square ``Domain²`` is its own converse,
+    so ``Domain² − Xᵀ = (Domain² − X)ᵀ``), masks and projections with
+    their sides swapped, counts and byte sizes.  Every other kernel reads
+    :meth:`materialize`, which transposes a converse once.
+
+    One instance serves one execution.  ``successors`` memoizes the
+    successor lists of each left operand of :meth:`compose`, keyed by the
+    ``id`` of its rows: ``(rows, successor lists)``.  Holding the rows
+    keeps their ``id`` from being recycled while the memo lives.  This is
+    sound only because no dense payload is ever mutated: ``own2`` is the
+    identity, every kernel builds a new list, and a converse's rows are
+    set once.  The memo starts over once it holds :data:`_DERIVED_BYTES`
+    of payloads at the dense worst case, so a long fixed point over a
+    wide universe cannot keep every round alive.
     """
 
-    rows2 = staticmethod(rows_of_adjacency)
-    nonempty2 = staticmethod(any)
-    union2 = staticmethod(or_rows)
-    minus2 = staticmethod(andnot_rows)
-    and2 = staticmethod(and_rows)
     own2 = staticmethod(_identity)  # merge2 never mutates
-    mask_source = staticmethod(mask_rows_source)
-    mask_target = staticmethod(mask_rows_target)
-    proj_source = staticmethod(proj_source)
-    proj_target = staticmethod(proj_target)
-    count_per_source = staticmethod(count_per_source)
 
     def __init__(self, n: int):
         super().__init__(n)
-        self.derived: dict[int, list] = {}
+        self.square = [self.full] * n
+        self.successors: dict[int, tuple] = {}
         self.capacity = max(4, _DERIVED_BYTES // (n * ((n + 7) >> 3) or 1))
 
-    def _derived(self, raw: list[int]) -> list:
-        entry = self.derived.get(id(raw))
-        if entry is None:
-            if len(self.derived) >= self.capacity:
-                self.derived.clear()
-            entry = self.derived[id(raw)] = [raw, None, None]
-        return entry
+    def materialize(self, raw) -> list[int]:
+        """``raw``'s rows in its own orientation."""
+        if raw.__class__ is not _Converse:
+            return raw
+        if raw.rows is None:
+            raw.rows = transpose(raw.source, self.n)
+        return raw.rows
+
+    def _pointwise(self, kernel: Callable, *raws):
+        """``kernel``, a row-by-row and/or/minus, over ``raws``.  Those
+        commute with converse, so when every operand is a converse or the
+        square and one at least is a converse, it runs on their sources
+        and the result is tagged; otherwise on their rows."""
+        square = self.square
+        if any(raw.__class__ is _Converse for raw in raws) and all(
+                raw.__class__ is _Converse or raw is square for raw in raws):
+            return _Converse(kernel(*[raw if raw is square else raw.source
+                                      for raw in raws]))
+        return kernel(*map(self.materialize, raws))
 
     def of_pairs(self, rows) -> list[int]:
         return adjacency_of_binary(rows, self.n)
@@ -342,50 +374,111 @@ class _Dense(_Columns):
         return [0] * self.n
 
     def full2(self) -> list[int]:
-        return [self.full] * self.n
+        return self.square
+
+    def rows2(self, raw) -> set:
+        return rows_of_adjacency(self.materialize(raw))
 
     @staticmethod
-    def count2(raw: list[int]) -> int:
+    def count2(raw) -> int:
+        if raw.__class__ is _Converse:
+            raw = raw.source
         return sum(map(int.bit_count, raw))
 
     @staticmethod
-    def nbytes2(raw: list[int]) -> int:
-        """One word per row plus the bits each row holds."""
-        return 8 * len(raw) + (sum(map(int.bit_length, raw)) >> 3)
-
-    def transpose(self, raw: list[int]) -> list[int]:
-        entry = self._derived(raw)
-        if entry[1] is None:
-            entry[1] = transpose(raw, self.n)
-            self._derived(entry[1])[1] = raw
-        return entry[1]
-
-    def compose(self, left: list[int], right: list[int]) -> list[int]:
-        entry = self._derived(left)
-        if entry[2] is None:
-            entry[2] = successor_lists(left)
-        return compose_successors(entry[2], right)
+    def nonempty2(raw) -> bool:
+        return any(raw.source if raw.__class__ is _Converse else raw)
 
     @staticmethod
-    def merge2(total: list[int], fresh: list[int]) -> list[int]:
-        return [a | b for a, b in zip(total, fresh)]
+    def nbytes2(raw) -> int:
+        """One word per row plus the bits each row holds.  A converse's
+        row ``y`` is as long as the last source row holding bit ``y``, so
+        its lengths come from one pass down the source rows."""
+        if raw.__class__ is not _Converse:
+            return 8 * len(raw) + (sum(map(int.bit_length, raw)) >> 3)
+        source = raw.source
+        unseen, bits = reduce(or_, source, 0), 0
+        for x in range(len(source) - 1, -1, -1):
+            if not unseen:
+                break
+            new = source[x] & unseen
+            if new:
+                bits += (x + 1) * new.bit_count()
+                unseen ^= new
+        return 8 * len(source) + (bits >> 3)
+
+    @staticmethod
+    def transpose(raw):
+        if raw.__class__ is _Converse:
+            return raw.source
+        return _Converse(raw)
+
+    def union2(self, raws: list):
+        return self._pointwise(_or_rows, *raws)
+
+    def minus2(self, left, right):
+        return self._pointwise(andnot_rows, left, right)
+
+    def and2(self, left, right):
+        return self._pointwise(and_rows, left, right)
+
+    def merge2(self, total, fresh):
+        return self._pointwise(_or_rows, total, fresh)
+
+    def mask_source(self, raw, bits: int):
+        if raw.__class__ is _Converse:
+            return _Converse(mask_rows_target(raw.source, bits))
+        return mask_rows_source(raw, bits)
+
+    def mask_target(self, raw, bits: int):
+        if raw.__class__ is _Converse:
+            return _Converse(mask_rows_source(raw.source, bits))
+        return mask_rows_target(raw, bits)
+
+    @staticmethod
+    def proj_source(raw) -> int:
+        if raw.__class__ is _Converse:
+            return proj_target(raw.source)
+        return proj_source(raw)
+
+    @staticmethod
+    def proj_target(raw) -> int:
+        if raw.__class__ is _Converse:
+            return proj_source(raw.source)
+        return proj_target(raw)
+
+    def count_per_source(self, raw, threshold: int) -> int:
+        return count_per_source(self.materialize(raw), threshold)
+
+    def compose(self, left, right) -> list[int]:
+        left = self.materialize(left)
+        entry = self.successors.get(id(left))
+        if entry is None:
+            if len(self.successors) >= self.capacity:
+                self.successors.clear()
+            entry = self.successors[id(left)] = (left, successor_lists(left))
+        return compose_successors(entry[1], self.materialize(right))
 
     def cross(self, sources: int, targets: int) -> list[int]:
         return [targets if (sources >> i) & 1 else 0 for i in range(self.n)]
 
     def closure(self, raw, deterministic, governor, stats) -> list[int]:
-        return closure_adjacency(raw, self.n, deterministic=deterministic,
+        return closure_adjacency(self.materialize(raw), self.n,
+                                 deterministic=deterministic,
                                  governor=governor)
 
-    def reach(self, raw, start, deterministic, reverse, governor):
+    def reach(self, raw, start, deterministic, reverse, governor, mask):
         if deterministic:
-            raw = [row if row.bit_count() == 1 else 0 for row in raw]
+            raw = [row if row.bit_count() == 1 else 0
+                   for row in self.materialize(raw)]
         if reverse:
             raw = self.transpose(raw)
-        return iter_bits(reach_from(raw, start, governor=governor))
+        reached = reach_from(self.materialize(raw), start, governor=governor)
+        return reached.bit_count(), iter_bits(reached & mask)
 
     def select_fn(self, comparisons: tuple) -> Callable:
-        return _select_r_fn(comparisons, self.n)
+        fn, materialize = _select_r_fn(comparisons, self.n), self.materialize
+        return lambda raw: fn(materialize(raw))
 
 
 # --------------------------------------------------- shape-resolved kernels
@@ -941,17 +1034,33 @@ def _eval_reach(w: _Walker, node: Select, closure: Closure, start: int,
     """``Select`` over a k=1 ``Closure`` with a pinned endpoint: one BFS
     over the edges instead of the full closure — O(edges) time and
     O(reach) memory, the rewrite that makes single-source reachability
-    (the GAP sentence) flat in n."""
-    edges = w.eval(closure.body)
+    (the GAP sentence) flat in n.
+
+    The comparisons are classified once: those on the pinned column (or
+    on none) are checked against the pinned value, those on the free
+    column become one mask of the reached vertices to keep, and only
+    two-column predicates are evaluated per row."""
     n = w.n
-    rows = [(other, start) if reverse else (start, other)
-            for other in w.cols.reach(edges, start, closure.deterministic,
-                                      reverse, w.governor)]
+    pinned, free = (1, 0) if reverse else (0, 1)
+    mask, pairs = w.cols.full, []
+    for comparison in node.comparisons:
+        used = set(comparison.columns_used())
+        if used <= {pinned}:
+            if not (_value_mask(comparison, n) >> start) & 1:
+                mask = 0
+        elif used == {free}:
+            mask &= _value_mask(comparison, n)
+        else:
+            pairs.append(comparison)
+    edges = w.eval(closure.body)
+    reached, kept = w.cols.reach(edges, start, closure.deterministic,
+                                 reverse, w.governor, mask)
     if w.stats is not None:
-        w.stats.note_resident(rows=len(rows))
-    keep = [row for row in rows
-            if all(c.evaluate(row, n) for c in node.comparisons)]
-    return w.note(w.cols.encode(keep, 2), 2)
+        w.stats.note_resident(rows=reached)
+    rows = [(other, start) if reverse else (start, other) for other in kept]
+    if pairs:
+        rows = [row for row in rows if all(c.evaluate(row, n) for c in pairs)]
+    return w.note(w.cols.encode(rows, 2), 2)
 
 
 def _eval_unary(w: _Walker, node):

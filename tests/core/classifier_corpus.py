@@ -24,6 +24,7 @@ import re
 import sys
 from pathlib import Path
 
+from repro.core import builders as b
 from repro.core import (
     Atom,
     Database,
@@ -84,6 +85,24 @@ QUICKSTART = """
 """
 
 
+def _with_main(program, main):
+    """A definition library given a main expression that calls it."""
+    program.main = main
+    return program
+
+
+def _arithmetic_main():
+    """Every arithmetic definition, called on elements of ``D``."""
+    zero = b.var("ZERO")
+    one = b.call("increment", zero)
+    two = b.call("increment", one)
+    three = b.call("increment", two)
+    return b.tup(b.call("add", one, two), b.call("mult", two, two),
+                 b.call("expn", two, one), b.call("decrement", b.call("shift", three)),
+                 b.call("parity", three), b.call("rem", two, three),
+                 b.call("bit", zero, three))
+
+
 def _atoms(*values):
     return make_set(*(Atom(v) for v in values))
 
@@ -121,9 +140,11 @@ def corpus() -> dict[str, tuple]:
     programs = {
         "stdlib": (standard_library(), None),
         "agap": (agap_program(), agap_database(graph)),
-        "apath": (apath_program(), agap_database(graph)),
-        "arithmetic": (arithmetic_program(), arithmetic_database(4)),
-        "ip": (ip_program(), im_db),
+        "apath": (_with_main(apath_program(), b.call("apath-iterate")),
+                  agap_database(graph)),
+        "arithmetic": (_with_main(arithmetic_program(), _arithmetic_main()),
+                       arithmetic_database(4)),
+        "ip": (_with_main(ip_program(), b.call("ip", b.var("START"))), im_db),
         "im": (im_program(), im_db),
         "powerset": (powerset_program(), powerset_db),
         "doubling_list": (doubling_list_program(), powerset_db),

@@ -8,10 +8,30 @@ per-execution memos that hoist loop-invariant work out of fixed points,
 and the Session / CLI wiring.
 """
 
+import dataclasses
+import hashlib
+import itertools
+import json
+import random
+import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.core.columnar import (
+    and_rows,
+    andnot_rows,
+    compose,
+    count_per_source,
+    mask_rows_source,
+    mask_rows_target,
+    or_rows,
+    proj_source,
+    proj_target,
+    transpose,
+)
 from repro.core.engine import Session
 from repro.core.errors import ResourceLimitExceeded
 from repro.core.governor import Budget
@@ -28,21 +48,36 @@ from repro.logic.codegen import (
 from repro.logic.compile import compile_formula
 from repro.logic.eval import LOGIC_BACKENDS, ModelChecker, define_relation
 from repro.logic.formula import (
+    MAX,
+    ZERO,
+    DTCAtom,
     LFPAtom,
     TCAtom,
     VarTerm,
     and_,
     aux,
     count_at_least,
+    eq,
+    leq,
     neg,
     or_,
     rel,
     var,
 )
 from repro.logic.optimize import optimize_formula
-from repro.logic.plan import ExecutionContext, PlanStats
+from repro.logic.plan import (
+    Closure,
+    Col,
+    Comparison,
+    Const,
+    ExecutionContext,
+    PlanStats,
+    RelationScan,
+    Select,
+)
 from repro.logic.queries import CANONICAL_QUERIES
 from repro.structures import (
+    graph_structure,
     path_graph,
     random_alternating_graph,
     random_graph,
@@ -132,7 +167,7 @@ def test_governed_codegen_enforces_row_and_round_budgets():
     with pytest.raises(ResourceLimitExceeded):
         execute_columnar(plan, structure,
                          governor=Budget(max_rows_materialized=3).start())
-    from repro.logic.formula import ZERO, eq, exists
+    from repro.logic.formula import exists
     lfp = LFPAtom(
         "R", ("v",),
         or_(eq(var("v"), ZERO),
@@ -218,10 +253,8 @@ def test_checker_memoizes_compiled_relation():
 def snapshot_graph(tmp_path_factory):
     """An n=128 alternating graph loaded from an RSNP snapshot, so every
     scan of ``E`` decodes the packed CSR section (``adjacency_of_csr``)."""
-    path = tmp_path_factory.mktemp("codegen") / "alternating.rsnp"
-    save_snapshot(random_alternating_graph(128, edge_probability=0.03,
-                                           seed=3), path)
-    return load_structure_file(path)
+    return _snapshot_graph_at(tmp_path_factory.mktemp("codegen")
+                              / "alternating.rsnp")
 
 
 def _compiled(name, structure):
@@ -247,8 +280,8 @@ def test_dense_apath_does_loop_invariant_work_once(monkeypatch,
                                                     snapshot_graph):
     """One apath execution: ``E`` is decoded from the snapshot once, each
     left operand of a composition is turned into successor lists once,
-    and no payload is transposed twice — a converse flipped back is a
-    memo hit, not a second transpose."""
+    and no payload is transposed twice — a converse flipped back is its
+    source, not a second transpose."""
     compiled = _compiled("apath", snapshot_graph)
     expected = compiled.execute(snapshot_graph)
     scans, successors, transposes = [], [], []
@@ -266,6 +299,23 @@ def test_dense_apath_does_loop_invariant_work_once(monkeypatch,
     assert len(set(sources)) == len(sources)
     converses = {id(converse) for _, converse in transposes}
     assert not converses & set(sources)
+
+
+@pytest.mark.parametrize("name", ["apath", "agap"])
+def test_dense_apath_transposes_nothing_inside_fixpoint_rounds(
+        monkeypatch, snapshot_graph, name):
+    """The permuted scans of ``R`` and ``ΔR`` are converses of the stage
+    payloads, the ∀-branch's ``Domain² − Rᵀ`` is the converse of ``¬R``,
+    and the joins flip each back to its source: a whole execution stays
+    within a budget of a few transposes instead of three per round."""
+    compiled = _compiled(name, snapshot_graph)
+    expected = compiled.execute(snapshot_graph)
+    transposes = []
+    _spy(monkeypatch, "transpose", transposes)
+    stats = PlanStats()
+    assert compiled.execute(snapshot_graph, stats=stats) == expected
+    assert stats.fixpoint_rounds > 3
+    assert len(transposes) <= 5
 
 
 def test_a_full_memo_starts_over_without_changing_answers(monkeypatch,
@@ -310,3 +360,199 @@ def test_threads_running_one_compiled_plan_agree(monkeypatch,
         thread.join()
     assert not mismatches
     assert len(built) == len(plans) * (1 + 2 * 4)
+
+
+# ------------------------------------------------------- converse payloads
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_converse_payloads_agree_with_their_rows(seed):
+    """Every dense kernel gives the same relation, count and byte size
+    whether an operand is a row list, the converse of its transpose, or
+    (for the two-sided kernels) the square ``Domain²``."""
+    rng = random.Random(seed)
+    n = 3 + seed * 3
+    cols = codegen._Dense(n)
+    rows2 = cols.rows2
+
+    def relation():
+        density = rng.random()
+        return [sum(1 << y for y in range(n) if rng.random() < density)
+                for _ in range(n)]
+
+    def forms(rows):
+        return [rows, codegen._Converse(transpose(rows, n))]
+
+    a, b = relation(), relation()
+    mask = rng.getrandbits(n)
+    for x in forms(a):
+        assert cols.count2(x) == cols.count2(a)
+        assert cols.nbytes2(x) == cols.nbytes2(a)
+        assert cols.nonempty2(x) == cols.nonempty2(a)
+        assert rows2(cols.transpose(cols.transpose(x))) == rows2(a)
+        assert rows2(cols.transpose(x)) == rows2(transpose(a, n))
+        assert cols.proj_source(x) == proj_source(a)
+        assert cols.proj_target(x) == proj_target(a)
+        assert rows2(cols.mask_source(x, mask)) \
+            == rows2(mask_rows_source(a, mask))
+        assert rows2(cols.mask_target(x, mask)) \
+            == rows2(mask_rows_target(a, mask))
+        assert cols.count_per_source(x, 2) == count_per_source(a, 2)
+        for y, plain in [(y, b) for y in forms(b)] + [(cols.full2(),
+                                                       cols.full2())]:
+            pair = (x, y)
+            assert rows2(cols.minus2(*pair)) == rows2(andnot_rows(a, plain))
+            assert rows2(cols.and2(*pair)) == rows2(and_rows(a, plain))
+            assert rows2(cols.union2(pair)) == rows2(or_rows((a, plain)))
+            assert rows2(cols.merge2(*pair)) == rows2(or_rows((a, plain)))
+            assert rows2(cols.compose(*pair)) == rows2(compose(a, plain))
+            result = cols.minus2(y, x)
+            assert cols.nbytes2(result) \
+                == cols.nbytes2(andnot_rows(plain, a))
+
+
+# ------------------------------------------------------------ pinned reach
+
+#: A graph with deterministic chains both ways: TC reaches 0,1,2,3,4,5,9
+#: from 0 and 0,1,2,3,6,7,9 backwards from 9; DTC only 0,1,2 and 3,6,7,9.
+REACH_EDGES = [(0, 1), (1, 2), (2, 3), (2, 4), (3, 9), (4, 5), (5, 5),
+               (6, 9), (7, 6), (8, 8)]
+
+_TERMS = {0: var("x"), 1: var("y")}
+
+
+def _term(ref):
+    if isinstance(ref, Col):
+        return _TERMS[ref.index]
+    return ZERO if ref.which == "zero" else MAX
+
+
+def _comparison_formula(comparison):
+    left, right = _term(comparison.left), _term(comparison.right)
+    return {"eq": lambda: eq(left, right),
+            "ne": lambda: neg(eq(left, right)),
+            "leq": lambda: leq(left, right),
+            "gt": lambda: neg(leq(left, right))}[comparison.op]()
+
+
+def _pinned_reach_cases():
+    """``(pin, extra)`` comparison tuples: a pinning equality on the source
+    (0) or target (max), then one of eq/ne/leq/gt against zero/max, on the
+    pinned or the free column, either way round, with or without a
+    two-column comparison."""
+    pairs = (Comparison("leq", Col(0), Col(1)),
+             Comparison("ne", Col(1), Col(0)))
+    cases = []
+    for pinned, const in ((0, "zero"), (1, "max")):
+        pin = Comparison("eq", Col(pinned), Const(const))
+        for i, (op, which, column, flipped, with_pair) in enumerate(
+                itertools.product(("eq", "ne", "leq", "gt"), ("zero", "max"),
+                                  (pinned, 1 - pinned), (False, True),
+                                  (False, True))):
+            sides = (Col(column), Const(which))
+            extra = (Comparison(op, *(sides[::-1] if flipped else sides)),)
+            if with_pair:
+                extra += (pairs[i % 2],)
+            cases.append((pin,) + extra)
+    return cases
+
+
+@pytest.mark.parametrize("width", ["dense", "wide"])
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_pinned_reach_matrix_matches_the_tuple_backend(monkeypatch, width,
+                                                        deterministic):
+    if width == "wide":
+        monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
+    structure = graph_structure(10, REACH_EDGES)
+    closure_atom = DTCAtom if deterministic else TCAtom
+    closure = Closure(RelationScan("E", ("a", "b")), 1, deterministic)
+    reaches = []
+    real_reach = codegen._eval_reach
+    monkeypatch.setattr(codegen, "_eval_reach",
+                        lambda *args: reaches.append(1) or real_reach(*args))
+    for comparisons in _pinned_reach_cases():
+        formula = and_(closure_atom(("a",), ("b",), rel("E", "a", "b"),
+                                    (var("x"),), (var("y"),)),
+                       *map(_comparison_formula, comparisons))
+        want = define_relation(formula, structure, ("x", "y"),
+                               backend="tuple")
+        got = execute_columnar(Select(closure, comparisons), structure)
+        assert got == want, comparisons
+    assert len(reaches) == len(_pinned_reach_cases())
+
+
+@pytest.mark.parametrize("width", ["dense", "wide"])
+def test_pinned_reach_filters_without_a_per_vertex_predicate(monkeypatch,
+                                                              width):
+    """Comparisons on one column become a check of the pinned value and a
+    mask of the reached vertices; ``Comparison.evaluate`` runs per row only
+    for two-column comparisons."""
+    if width == "wide":
+        monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
+    structure = path_graph(40)
+    closure = Closure(RelationScan("E", ("a", "b")), 1, False)
+    calls = []
+    real_evaluate = Comparison.evaluate
+    monkeypatch.setattr(Comparison, "evaluate",
+                        lambda self, row, size: calls.append(row)
+                        or real_evaluate(self, row, size))
+    single = (Comparison("eq", Col(0), Const("zero")),
+              Comparison("ne", Col(1), Const("max")),
+              Comparison("gt", Col(1), Const("zero")))
+    assert execute_columnar(Select(closure, single), structure) == \
+        {(0, y) for y in range(1, 39)}
+    assert calls == []
+    pair = single[:1] + (Comparison("eq", Col(0), Col(1)),)
+    assert execute_columnar(Select(closure, pair), structure) == {(0, 0)}
+    assert len(calls) == 40  # one per reached vertex
+
+
+# ------------------------------------------------ dense canonical golden
+
+#: Answers (row count and the SHA-256 of the sorted rows as JSON) and every
+#: ``PlanStats`` field of the ten canonical queries, executed once each at
+#: dense width on the ``snapshot_graph`` structure.
+DENSE_GOLDEN = Path(__file__).resolve().parent / "dense_canonical_golden.json"
+
+DENSE_CANONICAL = ("tc", "dtc", "apath", "agap", "gap", "reach", "dreach",
+                   "half-out", "non-reach", "count-reach")
+
+
+def _snapshot_graph_at(path):
+    save_snapshot(random_alternating_graph(128, edge_probability=0.03,
+                                           seed=3), path)
+    return load_structure_file(path)
+
+
+def dense_canonical_table(structure) -> dict[str, dict]:
+    table = {}
+    for name in DENSE_CANONICAL:
+        stats = PlanStats()
+        rows = sorted(map(list, _compiled(name, structure).execute(
+            structure, stats=stats)))
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        table[name] = {"rows": len(rows), "sha256": digest,
+                       "stats": dataclasses.asdict(stats)}
+    return table
+
+
+def test_dense_canonical_answers_and_counters_match_the_golden_file(
+        snapshot_graph):
+    """Representation changes inside the dense executor leave every answer
+    and every counter alone (regenerate only for an intended change)::
+
+        PYTHONPATH=src python tests/logic/test_codegen.py > tests/logic/dense_canonical_golden.json
+    """
+    golden = json.loads(DENSE_GOLDEN.read_text())
+    table = dense_canonical_table(snapshot_graph)
+    assert sorted(table) == sorted(golden)
+    for name, entry in golden.items():
+        assert table[name] == entry, name
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        graph = _snapshot_graph_at(Path(scratch) / "alternating.rsnp")
+        json.dump(dense_canonical_table(graph), sys.stdout, indent=1,
+                  sort_keys=True)
+    sys.stdout.write("\n")
