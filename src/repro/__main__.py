@@ -288,19 +288,12 @@ def _logic_run(args, query, optimize, stats, budget,
                 json.loads(args.updates.read_text()))
             checker = ModelChecker(structure, backend=args.backend,
                                    optimize=optimize, budget=budget)
-            if stats is not None:
-                checker.plan_stats = stats
-            checker.defined_relation(formula)
+            checker.plan_stats = stats
+            checker.degradations = degradations
+            checker.defined_relation(formula, query.variables)
             net = checker.apply_update(updates)
-            columns, rows = checker.defined_relation(formula)
-            if query.variables:
-                positions = [columns.index(v) for v in query.variables]
-                relation = frozenset(tuple(row[p] for p in positions)
-                                     for row in rows)
-            else:
-                relation = rows
+            _, relation = checker.defined_relation(formula, query.variables)
             ivm_summary = dict(checker.ivm_stats)
-            degradations.extend(checker.degradations)
         else:
             relation = define_relation(formula, structure, query.variables,
                                        backend=args.backend,

@@ -306,13 +306,6 @@ class Program:
         except KeyError:
             raise SRLNameError(f"unknown function: {name}") from None
 
-    def all_expressions(self) -> Iterator[Expr]:
-        """Yield the main expression and every definition body."""
-        for definition in self.definitions.values():
-            yield definition.body
-        if self.main is not None:
-            yield self.main
-
 
 def children(expr: Expr) -> tuple[Expr, ...]:
     """The immediate sub-expressions of ``expr``."""

@@ -24,6 +24,10 @@ order, and runs it on one of three interchangeable backends:
     (:attr:`Session.seminaive`), tuple-at-a-time logic
     (:attr:`Session.logic_backend`) and no plan optimizer
     (:attr:`Session.logic_optimize`).  Exists as a differential baseline.
+    The naive strategy reaches the logic layer only through the tuple
+    oracle: the plan and columnar backends run semi-naive fixed points
+    alone, so a ``reference`` session with ``logic_backend="plan"`` or
+    ``"columnar"`` has its logic calls refused with a ``ValueError``.
 
 All three agree on values and on the semantically determined counters
 (``inserts``, reduce iterations, ``function_calls``, ``new_values``, peak

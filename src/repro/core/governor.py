@@ -178,14 +178,6 @@ class Governor:
             self._countdown = self._interval
             self.check_time()
 
-    def remaining_seconds(self) -> float | None:
-        """Wall-clock budget still available (``None`` = no deadline).
-        Never negative; the query service uses this to hand a worker the
-        *remaining* deadline, not the original one."""
-        if self._deadline is None:
-            return None
-        return max(0.0, self._deadline - time.monotonic())
-
     # ------------------------------------------------------------------ rows
 
     @property

@@ -265,8 +265,8 @@ class _Wide(_Columns):
 
 
 def execute_chunked(plan: Plan, structure, auxiliary=None,
-                    seminaive: bool = True, stats: PlanStats | None = None,
-                    governor=None) -> frozenset:
+                    stats: PlanStats | None = None, governor=None
+                    ) -> frozenset:
     """Walk ``plan`` on the wide representation and decode to rows.
 
     The entry :func:`~repro.logic.codegen.execute_columnar` routes here
@@ -274,5 +274,5 @@ def execute_chunked(plan: Plan, structure, auxiliary=None,
     :class:`ChunkedUnsupported` on plan shapes outside the coverage; the
     evaluation ladder turns that into a degradation event.
     """
-    return _run(_Wide(structure.size), plan, structure, auxiliary, seminaive,
-                stats, governor)
+    return _run(_Wide(structure.size), plan, structure, auxiliary, stats,
+                governor)

@@ -3,9 +3,9 @@
 Optimized relational plans (:mod:`repro.logic.plan`) run here on raw
 columnar payloads (:mod:`repro.core.columnar`) through one interpreter,
 :class:`_Walker`, whose dispatch is a dict keyed on node type.  Fixed
-points (semi-naive and naive), ``Shared`` memos (global and per round),
-``Cumulative`` accumulators, the fixed-point scope that ``AuxScan`` and
-``DeltaScan`` read, the governor choke points and the
+points (delta-rewritten and as compiled), ``Shared`` memos (global and
+per round), ``Cumulative`` accumulators, the fixed-point scope that
+``AuxScan`` and ``DeltaScan`` read, the governor choke points and the
 :class:`~repro.logic.plan.PlanStats` accounting are each written once.
 
 Representations are a pure function of a node's column count over the
@@ -30,7 +30,7 @@ kernel factories (:func:`_join_fn`, :func:`_semi_fn`, :func:`_project_fn`
 and the representation's ``select_fn``) compose the representation's
 primitives once per node and execution, so fixpoint rounds never
 re-resolve them.  :func:`compiled_columnar` caches the representation
-census per ``(plan, n, seminaive)`` — the representation signature — and
+census per ``(plan, n)`` — the representation signature — and
 counts its hits on ``PlanStats.codegen_cache_hits``.
 
 Work that does not change while a plan runs is done once per execution.
@@ -866,14 +866,13 @@ class _Walker:
     """
 
     def __init__(self, cols: _Columns, structure, auxiliary,
-                 seminaive: bool, stats: PlanStats | None, governor):
+                 stats: PlanStats | None, governor):
         self.cols = cols
         self.n = cols.n
         self.kernels: dict[int, Callable] = {}
         self.scans: dict[tuple, object] = {}
         self.structure = structure
         self.aux = auxiliary or {}
-        self.seminaive = seminaive
         self.stats = stats
         self.governor = governor
         self.track = stats is not None or governor is not None
@@ -1159,7 +1158,7 @@ def _eval_fixpoint(w: _Walker, node: Fixpoint):
     derived stay even for non-monotone bodies."""
     cols, relation = w.cols, node.relation
     arity = len(node.variables)
-    delta_mode = node.delta_body is not None and w.seminaive
+    delta_mode = node.delta_body is not None
     saved = (w.scope.get(relation), w.round_memo, w.accumulators)
     w.accumulators = {} if delta_mode else None
     try:
@@ -1204,8 +1203,8 @@ def _eval_island(w: _Walker, node: Plan):
         aux[name] = frozenset(cols.decode(total, arity))
         if frontier is not None:
             delta[name] = frozenset(cols.decode(frontier, arity))
-    context = ExecutionContext(w.structure, aux, w.seminaive, delta, w.stats,
-                               {}, {}, None, w.governor)
+    context = ExecutionContext(w.structure, aux, delta, w.stats, {}, {}, None,
+                               w.governor)
     return cols.encode(node.execute(context).rows, len(node.columns))
 
 
@@ -1236,12 +1235,12 @@ _EVAL = {
 }
 
 
-def _run(cols: _Columns, plan: Plan, structure, auxiliary, seminaive: bool,
+def _run(cols: _Columns, plan: Plan, structure, auxiliary,
          stats: PlanStats | None, governor) -> frozenset:
     """Walk ``plan`` over ``structure`` and decode the result to rows.
     ``cols`` and the kernels bound to it belong to this one execution, so
     executions of one plan on several threads share no memo."""
-    walker = _Walker(cols, structure, auxiliary, seminaive, stats, governor)
+    walker = _Walker(cols, structure, auxiliary, stats, governor)
     return frozenset(cols.decode(walker.eval(plan), len(plan.columns)))
 
 
@@ -1276,13 +1275,11 @@ class CompiledColumnarPlan:
     representations chosen and tuple fallbacks.  Each execution binds the
     kernels afresh to its own :class:`_Dense` and its memos."""
 
-    __slots__ = ("plan", "n", "seminaive", "out_tag", "representations",
-                 "fallbacks")
+    __slots__ = ("plan", "n", "out_tag", "representations", "fallbacks")
 
-    def __init__(self, plan: Plan, n: int, seminaive: bool):
+    def __init__(self, plan: Plan, n: int):
         self.plan = plan
         self.n = n
-        self.seminaive = seminaive
         self.out_tag = _tag(len(plan.columns))
         self.representations, self.fallbacks = _census(plan)
 
@@ -1292,8 +1289,8 @@ class CompiledColumnarPlan:
         if structure.size != self.n:
             raise ValueError(
                 f"plan compiled for universe {self.n}, got {structure.size}")
-        return _run(_Dense(self.n), self.plan, structure, auxiliary,
-                    self.seminaive, stats, governor)
+        return _run(_Dense(self.n), self.plan, structure, auxiliary, stats,
+                    governor)
 
     def report(self) -> dict:
         """The per-plan representation summary ``--stats`` prints."""
@@ -1304,11 +1301,10 @@ class CompiledColumnarPlan:
         }
 
 
-def compile_columnar(plan: Plan, n: int, seminaive: bool = True
-                     ) -> CompiledColumnarPlan:
+def compile_columnar(plan: Plan, n: int) -> CompiledColumnarPlan:
     """Specialize ``plan`` to a dense universe of ``n`` elements
     (uncached; :func:`compiled_columnar` is the cached entry)."""
-    return CompiledColumnarPlan(plan, n, seminaive)
+    return CompiledColumnarPlan(plan, n)
 
 
 # ------------------------------------------------------------------- cache
@@ -1331,19 +1327,19 @@ def clear_codegen_cache() -> None:
         _CODEGEN_CACHE.clear()
 
 
-def compiled_columnar(plan: Plan, n: int, seminaive: bool = True,
-                      stats: PlanStats | None = None) -> CompiledColumnarPlan:
-    """The cached compiled form of ``(plan, n, strategy)`` — the
-    representation signature.  Hits are counted on ``stats``."""
+def compiled_columnar(plan: Plan, n: int, stats: PlanStats | None = None
+                      ) -> CompiledColumnarPlan:
+    """The cached compiled form of ``(plan, n)`` — the representation
+    signature.  Hits are counted on ``stats``."""
     global _LAST_REPORT
-    key = (plan, n, seminaive)
+    key = (plan, n)
     with _CODEGEN_LOCK:
         compiled = _CODEGEN_CACHE.get(key)
     if compiled is not None:
         if stats is not None:
             stats.codegen_cache_hits += 1
     else:
-        compiled = compile_columnar(plan, n, seminaive)
+        compiled = compile_columnar(plan, n)
         with _CODEGEN_LOCK:
             if len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_LIMIT:
                 _CODEGEN_CACHE.clear()
@@ -1359,9 +1355,8 @@ def last_report() -> dict | None:
 
 
 def execute_columnar(plan: Plan, structure, auxiliary=None,
-                     seminaive: bool = True, stats: PlanStats | None = None,
-                     governor=None, degradations: list | None = None
-                     ) -> frozenset:
+                     stats: PlanStats | None = None, governor=None,
+                     degradations: list | None = None) -> frozenset:
     """Run ``plan`` columnar; the one-call entry the evaluation ladder uses.
 
     The cost gate refuses universes past :data:`MAX_COLUMNAR_UNIVERSE`.
@@ -1382,8 +1377,7 @@ def execute_columnar(plan: Plan, structure, auxiliary=None,
         from .chunked import execute_chunked
 
         result = execute_chunked(plan, structure, auxiliary=auxiliary,
-                                 seminaive=seminaive, stats=stats,
-                                 governor=governor)
+                                 stats=stats, governor=governor)
         _LAST_REPORT = {
             "universe": structure.size,
             "backend": "chunked",
@@ -1391,7 +1385,7 @@ def execute_columnar(plan: Plan, structure, auxiliary=None,
             "tuple_fallbacks": [],
         }
         return result
-    compiled = compiled_columnar(plan, structure.size, seminaive, stats)
+    compiled = compiled_columnar(plan, structure.size, stats)
     if degradations is not None:
         for label in compiled.fallbacks:
             degradations.append(

@@ -17,15 +17,18 @@ architecture" and "Semi-naive evaluation"):
   set lookup.  Without this, ``define_relation`` over ``n^k`` rows
   recomputes the same closure ``n^k`` times.  Pass ``memoize=False`` to get
   the seed's recompute-every-time behaviour (benchmarks use it as the
-  baseline).
+  baseline).  The plan backends memoize each defined relation per
+  ``(formula, auxiliary snapshot, layout)`` the same way.
 
 * **Semi-naive fixed points.**  Each closure/fixed point is itself computed
   by delta propagation through the engine's relational kernels: TC/DTC
   pairs are extended only from the previous round's frontier against the
   successor index, LFP stages re-examine only the not-yet-derived rows, and
   the DTC unique-successor check cuts each source's target sweep off at the
-  second witness.  ``seminaive=False`` keeps the naive re-derive-everything
-  strategy (the differential oracle the ``reference`` backend preserves).
+  second witness.  On the tuple backend ``seminaive=False`` keeps the naive
+  re-derive-everything strategy (the differential oracle the ``reference``
+  backend preserves); the plan and columnar backends have one strategy,
+  semi-naive, and refuse the flag.
 
 * **Mutate-and-restore quantifiers.**  ``Exists`` / ``Forall`` /
   ``CountAtLeast`` rebind their variable in place on a single assignment
@@ -102,75 +105,6 @@ class _TupleFallback(Exception):
     caller should answer through the tuple oracle."""
 
 
-def _plan_rows(formula: Formula, layout: tuple[str, ...] | None,
-               structure: Structure, context_for, optimize: bool,
-               governor, degradations: list,
-               columnar_for=None) -> tuple[tuple[str, ...], frozenset]:
-    """Execute ``formula`` set-at-a-time down the degradation ladder.
-
-    Rung zero (``columnar`` backend only): run the best available plan
-    (optimized, else raw) on the columnar walker; any failure — an
-    unsupported shape, a universe past the columnar cost gate, an
-    injected fault — records a
-    :class:`DegradationEvent("columnar", "plan")` and drops to the
-    interpreted rungs.  Rung one: the optimized plan.  Any failure
-    *optimizing* — a rewrite crash, an injected fault, or a budget blown
-    mid-pipeline — records a :class:`DegradationEvent` and falls back to
-    the raw compiled plan rather than failing the query.  Rung two: the
-    raw plan; an internal failure *executing* either plan (but never a
-    :class:`ResourceLimitExceeded`, which is the budget working as
-    intended and always propagates) records an event and drops one rung
-    further.  Below the raw plan lies the tuple oracle, signalled to the
-    caller via :class:`_TupleFallback` (the oracle needs caller-specific
-    machinery: row enumeration for ``define_relation``, recursive
-    evaluation for ``evaluate``).
-
-    Returns ``(columns, rows)`` of whichever plan rung answered.
-    ``context_for`` builds a *fresh* execution context per attempt so a
-    failed rung cannot leak partial memo state into the next;
-    ``columnar_for`` (when given) runs a plan through
-    :func:`~repro.logic.codegen.execute_columnar` with the caller's
-    auxiliary scope and counters.
-    """
-    plan = None
-    if optimize:
-        try:
-            plan = optimize_formula(formula, structure, layout,
-                                    governor=governor)
-        except Exception as error:
-            degradations.append(
-                DegradationEvent("optimize", "raw-plan", repr(error)))
-    raw = None
-    if columnar_for is not None:
-        target = plan
-        if target is None:
-            raw = target = compile_formula(formula, layout)
-        try:
-            return target.columns, columnar_for(target)
-        except ResourceLimitExceeded:
-            raise
-        except Exception as error:
-            degradations.append(
-                DegradationEvent("columnar", "plan", repr(error)))
-    if plan is not None:
-        try:
-            return plan.columns, frozenset(plan.execute(context_for()).rows)
-        except ResourceLimitExceeded:
-            raise
-        except Exception as error:
-            degradations.append(
-                DegradationEvent("plan", "raw-plan", repr(error)))
-    if raw is None:
-        raw = compile_formula(formula, layout)
-    try:
-        return raw.columns, frozenset(raw.execute(context_for()).rows)
-    except ResourceLimitExceeded:
-        raise
-    except Exception as error:
-        degradations.append(DegradationEvent("plan", "tuple", repr(error)))
-        raise _TupleFallback(error) from error
-
-
 class ModelChecker:
     """Evaluates formulas over a fixed structure.
 
@@ -182,10 +116,13 @@ class ModelChecker:
     module docstring; leave it on except when measuring the uncached
     baseline.
 
-    ``seminaive`` selects the fixed-point strategy: delta propagation
-    through the engine's semi-naive kernels (the default), or the naive
-    re-derive-everything iteration (the differential oracle and the P2
-    benchmark baseline).  The two are observationally identical.
+    ``seminaive`` selects the tuple backend's fixed-point strategy: delta
+    propagation through the engine's semi-naive kernels (the default), or
+    the naive re-derive-everything iteration (the differential oracle and
+    the P2 benchmark baseline).  The two are observationally identical.
+    The plan and columnar backends always run semi-naive (a plan's
+    fixed points follow the optimizer's delta rewrite), so they raise
+    :class:`ValueError` for ``seminaive=False``.
 
     ``backend`` selects the evaluation strategy (:data:`LOGIC_BACKENDS`):
     ``"tuple"`` (the default here — the recursive enumeration this class
@@ -208,7 +145,12 @@ class ModelChecker:
     the raw compiled plan, kept as the differential oracle for the
     optimizer itself.  ``plan_stats`` accumulates the plan executions'
     :class:`~repro.logic.plan.PlanStats` counters across this checker's
-    lifetime (the CLI's ``--stats``).
+    lifetime (the CLI's ``--stats``); set it to ``None`` to skip the
+    accounting.
+
+    :func:`define_relation` is a one-shot checker: every logic entry point
+    runs the same degradation ladder through :meth:`defined_relation` or
+    :meth:`evaluate`.
     """
 
     def __init__(self, structure: Structure,
@@ -221,6 +163,11 @@ class ModelChecker:
                 f"unknown logic backend {backend!r}: expected one of "
                 f"{LOGIC_BACKENDS}"
             )
+        if not seminaive and backend != "tuple":
+            raise ValueError(
+                f"the {backend!r} backend always runs semi-naive fixed "
+                f"points; the naive strategy (seminaive=False) is an oracle "
+                f"of backend=\"tuple\"")
         self.structure = structure
         self.auxiliary = dict(auxiliary or {})
         self.memoize = memoize
@@ -231,15 +178,16 @@ class ModelChecker:
         #: The degradation ladder's audit log: one event per rung dropped
         #: (optimized plan -> raw plan -> tuple oracle, memo store skipped).
         self.degradations: list[DegradationEvent] = []
-        # The per-call governor minted from ``budget`` by :meth:`evaluate`;
+        # The per-call governor minted from ``budget`` by :meth:`_governed`;
         # ``None`` whenever no budget is set (the ungoverned fast path).
         self._governor = None
-        self.plan_stats = PlanStats()
+        self.plan_stats: PlanStats | None = PlanStats()
         # Maps (kind, formula, auxiliary snapshot) -> computed closure /
-        # fixed point (or, for the plan backend, the formula's defined
-        # relation).  Keying on the formula object itself (formulas are
-        # frozen, hashable dataclasses) pins it alive, so the entry can
-        # never be confused with a different formula.
+        # fixed point, and ("plan", formula, auxiliary snapshot, layout) ->
+        # the formula's defined relation on the plan backends.  Keying on
+        # the formula object itself (formulas are frozen, hashable
+        # dataclasses) pins it alive, so the entry can never be confused
+        # with a different formula.
         self._fixpoint_cache: dict = {}
         # The Shared-subplan memo, reused across every plan this checker
         # executes: entries are auxiliary-free, so they depend only on the
@@ -294,60 +242,74 @@ class ModelChecker:
         # Copy so the quantifiers' in-place rebinding never leaks into the
         # caller's mapping.
         assignment = dict(assignment or {})
-        self._thread_lock.acquire()
-        previous = self._governor
-        self._governor = governor = \
-            self.budget.start(self.plan_stats) if self.budget is not None \
-            else None
-        try:
-            with self._restoring():
-                if governor is not None:
-                    governor.check_time()
-                if self.backend in ("plan", "columnar"):
-                    return self._eval_plan(formula, assignment)
-                return self._eval(formula, assignment)
-        finally:
-            self._governor = previous
-            self._thread_lock.release()
+        with self._governed() as governor, self._restoring():
+            if governor is not None:
+                governor.check_time()
+            if self.backend in ("plan", "columnar"):
+                return self._eval_plan(formula, assignment)
+            return self._eval(formula, assignment)
 
-    def defined_relation(self, formula: Formula
+    def defined_relation(self, formula: Formula,
+                         layout: tuple[str, ...] | None = None
                          ) -> tuple[tuple[str, ...], frozenset]:
-        """The relation ``formula`` defines over its free variables, as
-        ``(columns, rows)`` — the checker-level surface behind
-        :func:`define_relation`, going through the plan cache so repeated
-        calls (and :meth:`apply_update` in between) are O(lookup).
+        """The relation ``formula`` defines, as ``(columns, rows)`` — the
+        checker-level surface behind :func:`define_relation`, going through
+        the plan cache so repeated calls (and :meth:`apply_update` in
+        between) are O(lookup).
 
-        On the ``tuple`` backend — or when every plan rung fails — the
-        rows come from the governed tuple enumeration over the formula's
-        free variables, sorted.
+        ``layout`` fixes the columns: every free variable of the formula
+        must appear in it, and a column the formula leaves unconstrained
+        ranges over the whole domain.  The default is the formula's free
+        variables, sorted.  On the ``tuple`` backend — or when every plan
+        rung fails — the rows come from the governed tuple enumeration
+        over the layout.
         """
-        self._thread_lock.acquire()
-        previous = self._governor
-        self._governor = governor = \
-            self.budget.start(self.plan_stats) if self.budget is not None \
-            else None
-        try:
-            with self._restoring():
-                if governor is not None:
-                    governor.check_time()
-                if self.backend in ("plan", "columnar"):
-                    try:
-                        return self._plan_relation(formula)
-                    except _TupleFallback:
-                        pass
+        if layout is not None:
+            layout = tuple(layout)
+        with self._governed() as governor, self._restoring():
+            if governor is not None:
+                governor.check_time()
+            if self.backend in ("plan", "columnar"):
+                try:
+                    return self._plan_relation(formula, layout)
+                except _TupleFallback:
+                    pass
+            if layout is None:
                 layout = tuple(sorted(free_variables_of(formula)))
-                rows = set()
-                assignment: dict[str, int] = {}
-                for row in product(self.structure.universe,
-                                   repeat=len(layout)):
-                    for variable, value in zip(layout, row):
-                        assignment[variable] = value
-                    if self._eval(formula, assignment):
-                        rows.add(row)
-                return layout, frozenset(rows)
-        finally:
-            self._governor = previous
-            self._thread_lock.release()
+            rows = set()
+            assignment: dict[str, int] = {}
+            for row in product(self.structure.universe, repeat=len(layout)):
+                for variable, value in zip(layout, row):
+                    assignment[variable] = value
+                if self._eval(formula, assignment):
+                    rows.add(row)
+            return layout, frozenset(rows)
+
+    def memoized(self, formula: Formula,
+                 layout: tuple[str, ...] | None = None) -> bool:
+        """Whether the plan memo holds what :meth:`defined_relation` of
+        ``(formula, layout)`` would return, under the auxiliary relations
+        now in scope."""
+        return self._plan_key(formula, layout) in self._fixpoint_cache
+
+    def _plan_key(self, formula: Formula, layout) -> tuple:
+        return ("plan", formula, self._aux_snapshot(), layout)
+
+    @contextmanager
+    def _governed(self):
+        """One public call's prologue and epilogue: take the checker's
+        lock, install a governor freshly minted from ``budget`` (``None``
+        without one, the ungoverned fast path), and reinstate the previous
+        governor afterwards, whatever the outcome."""
+        with self._thread_lock:
+            previous = self._governor
+            self._governor = governor = \
+                self.budget.start(self.plan_stats) if self.budget is not None \
+                else None
+            try:
+                yield governor
+            finally:
+                self._governor = previous
 
     # --------------------------------------------------- incremental updates
 
@@ -355,8 +317,9 @@ class ModelChecker:
         """Apply ``changeset`` to the structure and maintain every memoized
         defined relation incrementally (Dyn-FO; see :mod:`repro.logic.ivm`).
 
-        Per cached ``("plan", formula, snapshot)`` entry whose formula
-        reads a changed relation, the maintainability analysis
+        Per cached ``("plan", formula, snapshot, layout)`` entry whose
+        formula reads a changed relation, the formula is re-optimized for
+        that entry's layout and the maintainability analysis
         (:func:`~repro.logic.optimize.maintenance_strategy`) picks delta /
         closure / fixpoint patching or the recompute fallback; a patched
         value replaces the entry, a fallback — including *any* error on
@@ -366,10 +329,10 @@ class ModelChecker:
         update that grows the universe drop unconditionally.  Returns the
         net :class:`~repro.structures.changeset.Changeset`.
         """
-        with self._thread_lock:
-            return self._apply_update_locked(changeset)
+        with self._governed() as governor:
+            return self._apply_update_locked(changeset, governor)
 
-    def _apply_update_locked(self, changeset) -> "Changeset":
+    def _apply_update_locked(self, changeset, governor) -> "Changeset":
         from .ivm import MaintenanceFallback, maintain, relation_names
         from .optimize import _depends_on_relation, maintenance_strategy
 
@@ -378,10 +341,6 @@ class ModelChecker:
         net = self.structure.apply(changeset)
         if not net:
             return net
-        previous = self._governor
-        self._governor = governor = \
-            self.budget.start(self.plan_stats) if self.budget is not None \
-            else None
         try:
             if self.structure.size != old_size:
                 # New labels grew the universe: every quantifier range and
@@ -408,7 +367,7 @@ class ModelChecker:
             try:
                 while pending:
                     key = pending.pop()
-                    kind, formula, snapshot = key
+                    kind, formula, snapshot = key[:3]
                     if kind != "plan":
                         del self._fixpoint_cache[key]
                         self.degradations.append(DegradationEvent(
@@ -418,7 +377,7 @@ class ModelChecker:
                     columns, rows = self._fixpoint_cache[key]
                     try:
                         plan = optimize_formula(formula, self.structure,
-                                                None, governor=governor)
+                                                key[3], governor=governor)
                         if tuple(plan.columns) != tuple(columns):
                             raise MaintenanceFallback(
                                 "optimized layout changed under update")
@@ -430,7 +389,6 @@ class ModelChecker:
                             auxiliary=dict(snapshot),
                             support_check=self._support_oracle(
                                 formula, snapshot, columns, governor),
-                            seminaive=self.seminaive,
                             stats=self.plan_stats, governor=governor,
                             state=self._ivm_state.setdefault(key, {}))
                         value = (columns, patched)
@@ -460,7 +418,6 @@ class ModelChecker:
                 raise
             return net
         finally:
-            self._governor = previous
             if self._ivm_state:
                 self._ivm_state = {
                     key: scratch
@@ -473,8 +430,7 @@ class ModelChecker:
         structure, through a fresh tuple-backend checker (immune to
         plan-side faults) sharing this call's governor — the ``delta``
         strategy's counting re-check."""
-        oracle = ModelChecker(self.structure, auxiliary=dict(snapshot),
-                              seminaive=self.seminaive)
+        oracle = ModelChecker(self.structure, auxiliary=dict(snapshot))
         oracle._governor = governor
 
         def support(row: tuple) -> bool:
@@ -507,40 +463,93 @@ class ModelChecker:
                 del self._plan_memo[key]
             raise
 
-    def _plan_relation(self, formula: Formula
+    def _plan_relation(self, formula: Formula,
+                       layout: tuple[str, ...] | None = None
                        ) -> tuple[tuple[str, ...], frozenset]:
         """The formula's defined relation ``(columns, rows)`` through the
         plan cache — the memo surface :meth:`apply_update` patches.
         Raises :class:`_TupleFallback` at the bottom of the degradation
         ladder (nothing is cached in that case)."""
-        key = ("plan", formula, self._aux_snapshot())
+        key = self._plan_key(formula, layout)
         cached = self._fixpoint_cache.get(key) if self.memoize else None
         if cached is not None:
             return cached
-
-        def context_for() -> ExecutionContext:
-            return ExecutionContext(self.structure, dict(self.auxiliary),
-                                    self.seminaive, stats=self.plan_stats,
-                                    memo=self._plan_memo,
-                                    governor=self._governor)
-
-        columnar_for = None
-        if self.backend == "columnar":
-            def columnar_for(plan):
-                return execute_columnar(plan, self.structure,
-                                        auxiliary=dict(self.auxiliary),
-                                        seminaive=self.seminaive,
-                                        stats=self.plan_stats,
-                                        governor=self._governor,
-                                        degradations=self.degradations)
-
-        columns, rows = _plan_rows(formula, None, self.structure,
-                                   context_for, self.optimize,
-                                   self._governor, self.degradations,
-                                   columnar_for=columnar_for)
+        columns, rows = self._plan_rows(formula, layout)
         if self.memoize:
             self._memo_store(key, (columns, rows))
         return columns, rows
+
+    def _plan_rows(self, formula: Formula, layout: tuple[str, ...] | None
+                   ) -> tuple[tuple[str, ...], frozenset]:
+        """Execute ``formula`` set-at-a-time down the degradation ladder.
+
+        Rung zero (``columnar`` backend only): run the best available plan
+        (optimized, else raw) on the columnar walker; any failure — an
+        unsupported shape, a universe past the columnar cost gate, an
+        injected fault — records a
+        :class:`DegradationEvent("columnar", "plan")` and drops to the
+        interpreted rungs.  Rung one: the optimized plan.  Any failure
+        *optimizing* — a rewrite crash, an injected fault, or a budget blown
+        mid-pipeline — records a :class:`DegradationEvent` and falls back to
+        the raw compiled plan rather than failing the query.  Rung two: the
+        raw plan; an internal failure *executing* either plan (but never a
+        :class:`ResourceLimitExceeded`, which is the budget working as
+        intended and always propagates) records an event and drops one rung
+        further.  Below the raw plan lies the tuple oracle, signalled to the
+        caller via :class:`_TupleFallback` (the oracle is the caller's row
+        enumeration or recursive evaluation).
+
+        Returns ``(columns, rows)`` of whichever plan rung answered.  Each
+        interpreted rung runs under a fresh execution context, so a failed
+        rung cannot leak partial round state into the next.
+        """
+        governor, degradations = self._governor, self.degradations
+
+        def context() -> ExecutionContext:
+            return ExecutionContext(self.structure, dict(self.auxiliary),
+                                    stats=self.plan_stats,
+                                    memo=self._plan_memo, governor=governor)
+
+        plan = None
+        if self.optimize:
+            try:
+                plan = optimize_formula(formula, self.structure, layout,
+                                        governor=governor)
+            except Exception as error:
+                degradations.append(
+                    DegradationEvent("optimize", "raw-plan", repr(error)))
+        raw = None
+        if self.backend == "columnar":
+            target = plan
+            if target is None:
+                raw = target = compile_formula(formula, layout)
+            try:
+                return target.columns, execute_columnar(
+                    target, self.structure, auxiliary=dict(self.auxiliary),
+                    stats=self.plan_stats, governor=governor,
+                    degradations=degradations)
+            except ResourceLimitExceeded:
+                raise
+            except Exception as error:
+                degradations.append(
+                    DegradationEvent("columnar", "plan", repr(error)))
+        if plan is not None:
+            try:
+                return plan.columns, frozenset(plan.execute(context()).rows)
+            except ResourceLimitExceeded:
+                raise
+            except Exception as error:
+                degradations.append(
+                    DegradationEvent("plan", "raw-plan", repr(error)))
+        if raw is None:
+            raw = compile_formula(formula, layout)
+        try:
+            return raw.columns, frozenset(raw.execute(context()).rows)
+        except ResourceLimitExceeded:
+            raise
+        except Exception as error:
+            degradations.append(DegradationEvent("plan", "tuple", repr(error)))
+            raise _TupleFallback(error) from error
 
     def _eval_plan(self, formula: Formula, assignment: dict[str, int]) -> bool:
         """Set-at-a-time evaluation: compile once (memoized per formula),
@@ -833,64 +842,33 @@ def define_relation(formula: Formula, structure: Structure,
                     budget: Budget | None = None,
                     degradations: list | None = None) -> frozenset[tuple[int, ...]]:
     """The relation ``{(v1..vk) | structure |= formula[v̄]}`` defined by a
-    formula with the given free variables.
+    formula with the given free variables, laid out over exactly
+    ``variables`` (columns the formula leaves unconstrained range over the
+    whole domain).
 
-    With ``backend="plan"`` the formula is compiled once to a relational
-    plan laid out over exactly ``variables`` (columns the formula leaves
-    unconstrained range over the whole domain), rewritten by the plan
-    optimizer against the structure's statistics (unless
-    ``optimize=False``, the optimizer's differential oracle), and executed
-    set-at-a-time — no per-row enumeration at all.  ``backend="columnar"``
-    further runs the plan on the columnar bitset/CSR walker
-    (:mod:`repro.logic.codegen`), degrading to the plan interpreter on
-    any columnar-side failure.  ``stats`` optionally receives the
-    execution's :class:`~repro.logic.plan.PlanStats` counters.
+    A one-shot :class:`ModelChecker` answers through
+    :meth:`~ModelChecker.defined_relation`, so the parameters mean what
+    they mean there.  With ``backend="plan"`` the formula is compiled once
+    to a relational plan, rewritten by the plan optimizer against the
+    structure's statistics (unless ``optimize=False``, the optimizer's
+    differential oracle), and executed set-at-a-time — no per-row
+    enumeration at all.  ``backend="columnar"`` further runs the plan on
+    the columnar bitset/CSR walker (:mod:`repro.logic.codegen`).  With the
+    default ``backend="tuple"`` (the oracle), the checker is reused across
+    all ``n^k`` rows, so any TC/DTC/LFP sub-formula is closed over once
+    (when ``memoize``) instead of once per row; ``seminaive=False`` picks
+    the naive fixed-point oracle there and is refused by the plan
+    backends.
 
-    With the default ``backend="tuple"`` (the oracle), one checker is
-    reused across all ``n^k`` rows, so any TC/DTC/LFP sub-formula is
-    closed over once (when ``memoize``) instead of once per row, and the
-    row assignment is rebound in place.  ``seminaive`` picks the
-    fixed-point strategy either way (see :class:`ModelChecker`).
-
-    A ``budget`` mints a fresh governor for this one definition (either
-    backend); plan-side internal failures walk the degradation ladder
-    down to the tuple oracle, appending each rung dropped to
+    ``stats`` receives the plan executions'
+    :class:`~repro.logic.plan.PlanStats` counters (``None``, the default,
+    skips the accounting).  A ``budget`` mints a fresh governor for this
+    one definition; each rung the degradation ladder drops is appended to
     ``degradations`` when a list is supplied.
     """
-    if backend not in LOGIC_BACKENDS:
-        raise ValueError(
-            f"unknown logic backend {backend!r}: expected one of {LOGIC_BACKENDS}"
-        )
-    layout = tuple(variables)
-    governor = budget.start(stats) if budget is not None else None
-    events: list = degradations if degradations is not None else []
-    if backend in ("plan", "columnar"):
-        def context_for() -> ExecutionContext:
-            return ExecutionContext(structure, {}, seminaive,
-                                    stats=stats, memo={}, governor=governor)
-
-        columnar_for = None
-        if backend == "columnar":
-            def columnar_for(plan):
-                return execute_columnar(plan, structure, seminaive=seminaive,
-                                        stats=stats, governor=governor,
-                                        degradations=events)
-
-        try:
-            _columns, rows = _plan_rows(formula, layout, structure,
-                                        context_for, optimize, governor,
-                                        events, columnar_for=columnar_for)
-            return rows
-        except _TupleFallback:
-            pass  # fall through to the governed tuple enumeration below
-    checker = ModelChecker(structure, memoize=memoize, seminaive=seminaive)
-    checker._governor = governor
-    rows = set()
-    assignment: dict[str, int] = {}
-    for row in product(structure.universe, repeat=len(layout)):
-        for variable, value in zip(layout, row):
-            assignment[variable] = value
-        if checker._eval(formula, assignment):
-            rows.add(row)
-    events.extend(checker.degradations)
-    return frozenset(rows)
+    checker = ModelChecker(structure, memoize=memoize, seminaive=seminaive,
+                           backend=backend, optimize=optimize, budget=budget)
+    checker.plan_stats = stats
+    if degradations is not None:
+        checker.degradations = degradations
+    return checker.defined_relation(formula, tuple(variables))[1]

@@ -168,13 +168,12 @@ class PlanStats:
 class ExecutionContext:
     """Everything a plan needs at run time: the structure (universe and
     input relations), the auxiliary relations in scope (fixed-point stages
-    and caller-supplied interpretations), the fixed-point strategy, and —
-    for optimized plans — the per-stage delta relations, the per-execution
-    :class:`Shared` memo, and the :class:`PlanStats` counters."""
+    and caller-supplied interpretations), and — for optimized plans — the
+    per-stage delta relations, the per-execution :class:`Shared` memo, and
+    the :class:`PlanStats` counters."""
 
     structure: Structure
     auxiliary: Mapping[str, frozenset] = field(default_factory=dict)
-    seminaive: bool = True
     delta: Mapping[str, frozenset] = field(default_factory=dict)
     stats: PlanStats | None = None
     memo: dict | None = None
@@ -203,9 +202,8 @@ class ExecutionContext:
             deltas[name] = delta
         round_memo = {} if fresh_round else self.round_memo
         store = accumulators if accumulators is not None else self.accumulators
-        return ExecutionContext(self.structure, overlay, self.seminaive,
-                                deltas, self.stats, self.memo, round_memo,
-                                store, self.governor)
+        return ExecutionContext(self.structure, overlay, deltas, self.stats,
+                                self.memo, round_memo, store, self.governor)
 
 
 # ------------------------------------------------------------- comparisons
@@ -1000,15 +998,15 @@ class Fixpoint(Plan):
     ``delta_body`` (attached by the optimizer's semi-naive rewrite) is the
     body differentiated with respect to ``relation``: a plan that, executed
     with the frontier bound for :class:`DeltaScan` nodes, derives every row
-    the full body could newly derive.  When present (and the context is
-    semi-naive), round one runs the full body against the empty relation
-    and every later round runs only ``delta_body`` — O(Δ) work per round
-    for linear bodies.  A ``delta_body`` that *is* the body (the
-    optimizer's fallback for non-differentiable bodies: the auxiliary under
-    a ``Difference`` right side, a ``CountSelect``, or a nested fixed
-    point) degenerates to exactly the naive per-round cost.  Without
-    ``delta_body`` the node iterates through the engine's fixed-point
-    kernel, as compiled.
+    the full body could newly derive.  When present, round one runs the
+    full body against the empty relation and every later round runs only
+    ``delta_body`` — O(Δ) work per round for linear bodies.  A
+    ``delta_body`` that *is* the body (the optimizer's fallback for
+    non-differentiable bodies: the auxiliary under a ``Difference`` right
+    side, a ``CountSelect``, or a nested fixed point) degenerates to
+    exactly the naive per-round cost.  Without ``delta_body`` — a raw,
+    unoptimized plan, the optimizer's oracle — the node re-executes its
+    full body every round through the engine's fixed-point kernel.
     """
 
     relation: str
@@ -1026,7 +1024,7 @@ class Fixpoint(Plan):
         return (self.body,)
 
     def _run(self, context: ExecutionContext) -> IndexedRelation:
-        if self.delta_body is not None and context.seminaive:
+        if self.delta_body is not None:
             return self._run_delta(context)
         body = self.body
         relation = self.relation
@@ -1040,7 +1038,6 @@ class Fixpoint(Plan):
                                corrupt=lambda rows: rows | {(-1,) * (arity + 1)})
 
         rows = least_fixpoint(initial=frozenset(), delta_step=delta_step,
-                              seminaive=context.seminaive,
                               governor=context.governor)
         return IndexedRelation(rows, arity=arity)
 
@@ -1137,7 +1134,6 @@ class Closure(Plan):
             successors[row[:k]].append(row[k:])
         closure = transitive_closure(successors,
                                      deterministic=self.deterministic,
-                                     seminaive=context.seminaive,
                                      governor=governor)
         return IndexedRelation.adopt(
             {source + target for source, target in closure}, arity=2 * k)

@@ -73,9 +73,6 @@ class TuringMachine:
             if move not in (LEFT, STAY, RIGHT):
                 raise ValueError(f"transition {(state, symbol)} has an invalid move {move}")
 
-    def is_halting(self, state: str, symbol: str) -> bool:
-        return (state, symbol) not in self.transitions
-
     def run(self, input_string: str, max_steps: int | None = None,
             tape_length: int | None = None) -> RunResult:
         """Run the machine on ``input_string``.

@@ -256,8 +256,7 @@ class Worker:
         else:
             checker.budget = None
         formula = query.formula()
-        cache_key = ("plan", formula, frozenset())
-        cached = cache_key in checker._fixpoint_cache
+        cached = checker.memoized(formula)
         if cached:
             self.plan_cache_hits += 1
         else:

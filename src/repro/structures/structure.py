@@ -83,9 +83,6 @@ class Structure:
     def holds(self, name: str, *values: int) -> bool:
         return tuple(values) in self.relations[name]
 
-    def count_tuples(self) -> int:
-        return sum(len(rows) for rows in self.relations.values())
-
     def stats(self) -> dict:
         """Summary statistics for ``--stats`` and snapshot manifests: the
         universe size, the intern-table entry count (equal to the size —

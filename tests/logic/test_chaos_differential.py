@@ -207,7 +207,7 @@ def test_chaos_errors_surface_when_there_is_no_ladder(inject_faults):
     plan = compile_formula(CANONICAL_QUERIES["apath"].formula(), ("u", "v"))
     inject_faults(Fault("plan.fixpoint.round"))
     with pytest.raises(ChaosError):
-        plan.execute(ExecutionContext(structure, {}, True))
+        plan.execute(ExecutionContext(structure))
 
 
 def test_session_survives_a_chaotic_query_intact(inject_faults):

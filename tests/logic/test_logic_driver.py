@@ -1,0 +1,159 @@
+"""One logic driver, one set-at-a-time fixed-point strategy.
+
+:func:`~repro.logic.eval.define_relation` is a one-shot
+:class:`~repro.logic.eval.ModelChecker`, so every entry point runs the same
+degradation ladder; the plan and columnar backends run semi-naive fixed
+points only, leaving the naive strategy to the tuple oracle.  The AST
+guards at the bottom keep it that way.
+"""
+
+from __future__ import annotations
+
+import ast
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core.governor import Budget
+from repro.logic.eval import ModelChecker, define_relation
+from repro.logic.formula import rel
+from repro.logic.queries import CANONICAL_QUERIES
+from repro.structures import Changeset, random_alternating_graph
+
+LOGIC_ROOT = Path(repro.__file__).resolve().parent / "logic"
+PLAN_BACKENDS = ("plan", "columnar")
+
+
+# ------------------------------------------------------- the naive strategy
+
+
+@pytest.mark.parametrize("backend", PLAN_BACKENDS)
+def test_plan_backends_refuse_the_naive_strategy(backend):
+    structure = random_alternating_graph(4, seed=0)
+    with pytest.raises(ValueError, match='backend="tuple"'):
+        ModelChecker(structure, seminaive=False, backend=backend)
+    with pytest.raises(ValueError, match='backend="tuple"'):
+        define_relation(rel("E", "x", "y"), structure, ("x", "y"),
+                        seminaive=False, backend=backend)
+
+
+# ------------------------------------------------------------ column layout
+
+
+@pytest.mark.parametrize("budget", [None, Budget(max_rows_materialized=10**6)])
+def test_define_relation_pads_and_reorders_the_layout(budget):
+    """``z`` is unconstrained (it ranges over the whole domain) and the
+    formula's ``y, x`` come back in the requested ``x, y`` order."""
+    structure = random_alternating_graph(5, seed=2)
+    expected = frozenset((z, x, y) for z in structure.universe
+                         for (y, x) in structure.relation("E"))
+    for backend in PLAN_BACKENDS + ("tuple",):
+        got = define_relation(rel("E", "y", "x"), structure, ("z", "x", "y"),
+                              backend=backend, budget=budget)
+        assert got == expected, backend
+
+
+@pytest.mark.parametrize("backend", PLAN_BACKENDS + ("tuple",))
+def test_checker_layout_joins_the_memo_key(backend):
+    structure = random_alternating_graph(5, seed=3)
+    checker = ModelChecker(structure, backend=backend)
+    formula = rel("E", "y", "x")
+    assert checker.defined_relation(formula)[0] == ("x", "y")
+    assert not checker.memoized(formula, ("z", "x", "y"))
+    columns, rows = checker.defined_relation(formula, ("z", "x", "y"))
+    assert columns == ("z", "x", "y")
+    assert rows == define_relation(formula, structure, ("z", "x", "y"))
+    # Only the plan backends memoize whole defined relations.
+    assert checker.memoized(formula, ("z", "x", "y")) == (backend != "tuple")
+    assert checker.memoized(formula) == (backend != "tuple")
+
+
+@pytest.mark.parametrize("backend", PLAN_BACKENDS)
+def test_padded_entry_survives_updates(backend):
+    """Memo entries with a padded and with a reordered layout are each
+    maintained (or dropped and recomputed) under their own layout: after
+    every insert and delete they match a from-scratch recompute."""
+    structure = random_alternating_graph(6, seed=4)
+    formula = CANONICAL_QUERIES["tc"].formula()
+    layouts = (("z", "v", "u"), ("v", "u"))
+    checker = ModelChecker(structure, backend=backend)
+    for layout in layouts:
+        checker.defined_relation(formula, layout)
+    edges = structure.relation("E")
+    missing = sorted(set(product(structure.universe, repeat=2)) - edges)
+    updates = (Changeset.inserting("E", missing[0]),
+               Changeset.deleting("E", min(edges)),
+               Changeset.inserting("E", missing[-1]))
+    for update in updates:
+        assert checker.apply_update(update)
+        for layout in layouts:
+            columns, rows = checker.defined_relation(formula, layout)
+            assert columns == layout
+            assert rows == define_relation(formula, structure, layout,
+                                           backend="tuple")
+    assert sum(checker.ivm_stats.values()) == len(updates) * len(layouts)
+    assert checker.ivm_stats.get("closure", 0) >= len(updates)
+
+
+def test_define_relation_reports_degradations_in_order(inject_faults):
+    """The caller's list receives the ladder's events as they happen:
+    both plan rungs, then the tuple oracle answers."""
+    from repro.testing.chaos import Fault
+
+    structure = random_alternating_graph(5, seed=5)
+    query = CANONICAL_QUERIES["apath"]
+    expected = define_relation(query.formula(), structure, query.variables)
+    inject_faults(Fault("plan.fixpoint.round", max_fires=None))
+    events: list = []
+    got = define_relation(query.formula(), structure, query.variables,
+                          backend="plan", degradations=events)
+    assert got == expected
+    assert [(e.stage, e.fallback) for e in events] == \
+        [("plan", "raw-plan"), ("plan", "tuple")]
+
+
+# --------------------------------------------------------------- AST guards
+
+
+def _identifiers(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            yield node.arg
+
+
+@pytest.mark.parametrize("module", ["plan.py", "codegen.py", "chunked.py",
+                                    "ivm.py"])
+def test_set_at_a_time_executors_have_one_strategy(module):
+    path = LOGIC_ROOT / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "seminaive" not in set(_identifiers(tree))
+
+
+def _driver_calls(tree: ast.AST):
+    """Calls of ``execute_columnar`` or ``ExecutionContext`` under ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("execute_columnar", "ExecutionContext"):
+                yield name
+
+
+def test_only_the_checker_drives_the_plan_executors():
+    path = LOGIC_ROOT / "eval.py"
+    module = ast.parse(path.read_text(), filename=str(path))
+    inside, outside = [], []
+    for node in module.body:
+        checker = isinstance(node, ast.ClassDef) and node.name == "ModelChecker"
+        (inside if checker else outside).extend(_driver_calls(node))
+    assert outside == []
+    assert set(inside) == {"execute_columnar", "ExecutionContext"}
