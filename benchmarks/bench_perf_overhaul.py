@@ -3,8 +3,8 @@
 Unlike the theorem experiments (E1–E10), this module benchmarks the
 *interpreter itself*: each test times an identical workload on the seed
 implementation (via ``seed_values.seed_values``, which installs the seed's
-uncached value algorithms for one block, or ``memoize=False``) and on
-the optimized one, asserts the optimized run is at least ``TARGET_SPEEDUP``
+uncached value algorithms for one block, or a fresh tuple checker per row)
+and on the optimized one, asserts the optimized run is at least ``TARGET_SPEEDUP``
 times faster, and cross-checks that both produce *exactly* the same value.
 
 The measured paths are the three hot-path pathologies the overhaul
@@ -36,7 +36,8 @@ PR 5 adds the *P4 plan-optimizer* datapoints: the rewrite pipeline of
 ``repro.logic.optimize`` (selection pushdown, dead-column pruning,
 cost-based join reordering with semi/antijoins, join/projection fusion,
 semi-naive delta rewriting with cross-round accumulators, common-subplan
-sharing) against the raw PR 4 plan backend (``optimize=False``), on the
+sharing) against the raw compiled plan run on the plan interpreter
+(``compile_formula(...).execute(...)``, the optimizer's oracle), on the
 join-heavy canonical queries at n = 128 over layered / functional /
 sparse- and dense-alternating graphs.  The acceptance bar is a >= 3x
 *geometric mean* across tc / dtc / apath / agap, plus a structural O(|Δ|)
@@ -67,7 +68,7 @@ import pytest
 from repro.core import Session, run_program
 from repro.core.reference import value_sort_reference
 from repro.core.values import make_set, make_tuple, Atom, value_sort
-from repro.logic.eval import ModelChecker, define_relation
+from repro.logic.eval import ModelChecker, define_relation, evaluate
 from repro.logic.formula import LFPAtom, TCAtom, and_, aux, eq, exists, or_, rel, var
 from repro.logic.queries import CANONICAL_QUERIES
 from repro.queries import (
@@ -223,18 +224,26 @@ def _tc_closure_formula() -> TCAtom:
     return TCAtom(("x",), ("y",), rel("E", "x", "y"), (var("u"),), (var("v"),))
 
 
+def _recompute_per_row(formula, graph) -> frozenset:
+    """The seed's recompute-every-time ``define_relation``: a fresh tuple
+    checker per row, so no closure or fixed point is shared between rows."""
+    return frozenset(
+        (u, v) for u in graph.universe for v in graph.universe
+        if evaluate(formula, graph, {"u": u, "v": v}, backend="tuple"))
+
+
 def test_tc_define_relation_speedup(table, smoke):
     """``define_relation`` over TC: the seed recomputed the closure for every
-    one of the n^2 rows; the memoized checker computes it once."""
+    one of the n^2 rows; the memoized tuple checker computes it once."""
     size = 8 if smoke else 12
     graph = random_graph(size, edge_probability=0.2, seed=3)
     formula = _tc_closure_formula()
 
     def optimized():
-        return define_relation(formula, graph, ("u", "v"), memoize=True)
+        return define_relation(formula, graph, ("u", "v"), backend="tuple")
 
     def seed():
-        return define_relation(formula, graph, ("u", "v"), memoize=False)
+        return _recompute_per_row(formula, graph)
 
     assert optimized() == seed()
     seed_seconds = _best_of(seed, repeats=1)
@@ -261,10 +270,10 @@ def test_lfp_define_relation_speedup(table, smoke):
     formula = _lfp_reachability_formula()
 
     def optimized():
-        return define_relation(formula, graph, ("u", "v"), memoize=True)
+        return define_relation(formula, graph, ("u", "v"), backend="tuple")
 
     def seed():
-        return define_relation(formula, graph, ("u", "v"), memoize=False)
+        return _recompute_per_row(formula, graph)
 
     assert optimized() == seed()
     seed_seconds = _best_of(seed, repeats=1)
@@ -485,32 +494,41 @@ def test_plan_apath_lfp_e9(table, smoke):
 # --------------------------------- P4: the plan optimizer (PR 5)
 
 
+def _raw_plan_relation(formula, structure, variables, stats=None):
+    """The raw compiled plan, the optimizer's differential oracle, run once
+    on the plan interpreter."""
+    from repro.logic.compile import compile_formula
+    from repro.logic.plan import ExecutionContext
+
+    plan = compile_formula(formula, tuple(variables))
+    return frozenset(plan.execute(
+        ExecutionContext(structure, {}, stats=stats)).rows)
+
+
 def _optimized_vs_plan(name: str, query_name: str, structure, table,
                        smoke: bool) -> float:
     """Time one canonical query through ``define_relation`` on the
-    optimized plan backend against the raw PR 4 plan backend, cross-check
-    the defined relations and the row-materialization invariant, and
-    record the trajectory point.  Returns the speedup (the geomean gate
-    asserts across queries, not per query)."""
+    optimized plan backend against the raw compiled plan (the PR 4
+    planner, run directly on the plan interpreter), cross-check the
+    defined relations and the row-materialization invariant, and record
+    the trajectory point.  Returns the speedup (the geomean gate asserts
+    across queries, not per query)."""
     from repro.logic.plan import PlanStats
 
     query = CANONICAL_QUERIES[query_name]
     formula = query.formula()
 
-    def raw_backend():
-        return define_relation(formula, structure, query.variables,
-                               backend="plan", optimize=False)
+    def raw_backend(stats=None):
+        return _raw_plan_relation(formula, structure, query.variables, stats)
 
     def optimized_backend():
         return define_relation(formula, structure, query.variables,
-                               backend="plan", optimize=True)
+                               backend="plan")
 
     optimized_stats, raw_stats = PlanStats(), PlanStats()
     fast = define_relation(formula, structure, query.variables,
-                           backend="plan", optimize=True,
-                           stats=optimized_stats)
-    slow = define_relation(formula, structure, query.variables,
-                           backend="plan", optimize=False, stats=raw_stats)
+                           backend="plan", stats=optimized_stats)
+    slow = raw_backend(raw_stats)
     assert fast == slow
     assert optimized_stats.rows_materialized <= raw_stats.rows_materialized
     # Same repeat count on both sides: min-of-more-samples would bias the
@@ -595,9 +613,8 @@ def test_optimizer_delta_rounds_are_frontier_bounded(table, smoke):
     formula = gap_formula()
     optimized_stats, raw_stats = PlanStats(), PlanStats()
     fast = define_relation(formula, graph, (), backend="plan",
-                           optimize=True, stats=optimized_stats)
-    slow = define_relation(formula, graph, (), backend="plan",
-                           optimize=False, stats=raw_stats)
+                           stats=optimized_stats)
+    slow = _raw_plan_relation(formula, graph, (), stats=raw_stats)
     assert fast == slow
     rounds = optimized_stats.fixpoint_round_rows
     assert len(rounds) >= size - 1          # one round per chain link
@@ -655,11 +672,11 @@ def test_governed_overhead_p6(table, smoke):
 
         def ungoverned():
             return define_relation(formula, structure, query.variables,
-                                   backend="plan", optimize=True)
+                                   backend="plan")
 
         def governed():
             return define_relation(formula, structure, query.variables,
-                                   backend="plan", optimize=True,
+                                   backend="plan",
                                    budget=budget)
 
         assert governed() == ungoverned()
@@ -700,15 +717,15 @@ def _columnar_vs_optimized(name: str, query_name: str, structure, table,
 
     def set_backend():
         return define_relation(formula, structure, query.variables,
-                               backend="plan", optimize=True)
+                               backend="plan")
 
     def columnar_backend():
         return define_relation(formula, structure, query.variables,
-                               backend="columnar", optimize=True)
+                               backend="columnar")
 
     events: list = []
     fast = define_relation(formula, structure, query.variables,
-                           backend="columnar", optimize=True,
+                           backend="columnar",
                            degradations=events)
     assert not [e for e in events if e.stage == "columnar"], \
         f"{query_name}: columnar rung degraded: {events}"
@@ -790,7 +807,7 @@ def test_columnar_scale_n512_p7(table, smoke):
     for query_name, structure in workloads:
         query = CANONICAL_QUERIES[query_name]
         rows = define_relation(query.formula(), structure, query.variables,
-                               backend="columnar", optimize=True)
+                               backend="columnar")
         assert isinstance(rows, frozenset)
     columnar_total = time.perf_counter() - start
     table("P7: columnar n = 512 suite",
@@ -853,14 +870,14 @@ def _ivm_vs_recompute(name: str, query_name: str, structure, op: str,
     patched = _copy_structure(structure)
     patched.apply(forward)
     expected = define_relation(formula, patched, query.variables,
-                               backend="plan", optimize=True)
+                               backend="plan")
     positions = [columns.index(v) for v in query.variables]
     assert {tuple(row[p] for p in positions) for row in rows} == expected, \
         f"{name}: maintained relation diverged from the recompute oracle"
 
     def recompute():
         return define_relation(formula, patched, query.variables,
-                               backend="plan", optimize=True)
+                               backend="plan")
 
     recompute_seconds = _best_of(recompute, repeats=1 if smoke else 2)
     params = {"universe": structure.size, "query": query_name, "op": op,

@@ -217,12 +217,16 @@ def test_chaos_schedule_availability_gate(workload, table, smoke):
         assert len(kills) >= 3, f"schedule only killed {len(kills)} workers"
         assert run["outcomes"]["ok"] + run["outcomes"]["crashed"] == requests
         assert run["outcomes"]["ok"] > 0, "chaos starved every request"
-        assert pool.stats["worker_deaths"] >= 3
 
         deadline = time.monotonic() + 30.0
         while not pool.ready() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert pool.ready(), pool.health()
+        # A worker killed while idle is counted only by the supervisor's
+        # sweep (dispatch skips dead handles), so right after the load run
+        # its death may be uncounted.  Readiness needs the respawn, and
+        # every path that queues a respawn counts the death first.
+        assert pool.stats["worker_deaths"] >= 3
         status, reply = service.handle_query({"structure": "g",
                                               "query": "tc"})
         assert status == 200

@@ -136,8 +136,7 @@ def _build_argument_parser() -> argparse.ArgumentParser:
                              "runs any program); 'interp' is the tree-walking "
                              "interpreter, whose steps count AST-node visits, "
                              "'reference' the interpreter with the oracle logic "
-                             "kernels (naive fixed points, tuple-at-a-time, "
-                             "unoptimized)")
+                             "kernels (naive fixed points, tuple-at-a-time)")
     parser.add_argument("--no-stdlib", action="store_true",
                         help="do not add the Fact 2.4 standard library definitions")
     parser.add_argument("--max-steps", type=int, default=None,
@@ -167,18 +166,14 @@ def _build_logic_argument_parser() -> argparse.ArgumentParser:
                              "or a binary snapshot ('snapshot build'), "
                              "detected by its RSNP magic")
     parser.add_argument("--backend", choices=("plan", "columnar", "tuple"),
-                        default="plan",
-                        help="logic evaluation strategy (default: plan — the "
-                             "set-at-a-time relational planner; columnar "
-                             "lowers each plan to bitset/CSR kernel code; "
-                             "tuple is the enumeration oracle)")
-    parser.add_argument("--no-optimize", action="store_true",
-                        help="execute the raw compiled plan, skipping the "
-                             "rewrite pipeline of repro.logic.optimize (the "
-                             "plan optimizer's differential oracle)")
+                        default="columnar",
+                        help="logic evaluation strategy (default: columnar — "
+                             "optimized set-at-a-time plans run on bitset/CSR "
+                             "kernels; plan runs the same plans on the plan "
+                             "interpreter; tuple is the enumeration oracle)")
     parser.add_argument("--explain", action="store_true",
                         help="also print the formula and its compiled plan "
-                             "(with the optimizer on: the logical plan next "
+                             "(on the plan backends: the logical plan next "
                              "to the optimized plan, annotated with "
                              "estimated cardinalities)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
@@ -241,7 +236,6 @@ def logic_main(argv: list[str]) -> int:
         print("error: --structure structure.json is required", file=sys.stderr)
         return EXIT_INPUT
 
-    optimize = not args.no_optimize
     # The counters are plan-execution counters; the tuple oracle never
     # touches them, so --stats would print misleading zeros there.  They
     # are always *collected* on the plan backend, so a run stopped by the
@@ -261,11 +255,10 @@ def logic_main(argv: list[str]) -> int:
                     cancel_token=token)
     degradations: list = []
     with cancel_on_signals(token):
-        return _logic_run(args, query, optimize, stats, budget, degradations)
+        return _logic_run(args, query, stats, budget, degradations)
 
 
-def _logic_run(args, query, optimize, stats, budget,
-               degradations: list) -> int:
+def _logic_run(args, query, stats, budget, degradations: list) -> int:
     from repro.logic.compile import PlanCompilationError, explain
     from repro.logic.eval import define_relation
     from repro.logic.optimize import explain_optimized
@@ -274,7 +267,7 @@ def _logic_run(args, query, optimize, stats, budget,
         structure = _load_structure_file(args.structure)
         formula = query.formula()
         if args.explain:
-            if args.backend in ("plan", "columnar") and optimize:
+            if args.backend in ("plan", "columnar"):
                 print(explain_optimized(formula, structure, query.variables))
             else:
                 print(explain(formula, query.variables))
@@ -287,7 +280,7 @@ def _logic_run(args, query, optimize, stats, budget,
             updates = Changeset.from_json(
                 json.loads(args.updates.read_text()))
             checker = ModelChecker(structure, backend=args.backend,
-                                   optimize=optimize, budget=budget)
+                                   budget=budget)
             checker.plan_stats = stats
             checker.degradations = degradations
             checker.defined_relation(formula, query.variables)
@@ -297,7 +290,6 @@ def _logic_run(args, query, optimize, stats, budget,
         else:
             relation = define_relation(formula, structure, query.variables,
                                        backend=args.backend,
-                                       optimize=optimize,
                                        stats=stats, budget=budget,
                                        degradations=degradations)
     except PlanCompilationError as error:
@@ -306,8 +298,6 @@ def _logic_run(args, query, optimize, stats, budget,
     except (SRLError, OSError, json.JSONDecodeError, ValueError) as error:
         return _report(error)
 
-    strategy = args.backend if args.backend == "tuple" else \
-        (args.backend if optimize else f"{args.backend}, unoptimized")
     if degradations:
         ladder = ", ".join(f"{event.stage}->{event.fallback}"
                            for event in degradations)
@@ -315,7 +305,7 @@ def _logic_run(args, query, optimize, stats, budget,
               "came from a slower backend (--stats shows the causes)",
               file=sys.stderr)
     print(f"query:       {args.query} over n = {structure.size} "
-          f"({strategy} backend)")
+          f"({args.backend} backend)")
     if ivm_summary is not None:
         inserts = sum(1 for change in net if change.op == "insert")
         maintained = ", ".join(f"{name}={count}" for name, count

@@ -132,7 +132,7 @@ class Figure1Lattice:
     def containment_closure(self) -> set[tuple[str, str]]:
         """The reflexive-transitive containment relation over the recorded
         edges, computed (once per lattice state) through the logic layer's
-        plan backend: the lattice is encoded as a finite structure (one
+        default backend: the lattice is encoded as a finite structure (one
         universe element per class, ``E`` the recorded edges) and the
         Fact 4.1 TC formula is compiled and executed set-at-a-time."""
         state = (len(self.classes), len(self.containments))
@@ -146,8 +146,7 @@ class Figure1Lattice:
                             for c in self.containments)},
         )
         query = CANONICAL_QUERIES["tc"]
-        pairs = define_relation(query.formula(), structure, query.variables,
-                                backend="plan")
+        pairs = define_relation(query.formula(), structure, query.variables)
         closure = {(keys[lower], keys[upper]) for lower, upper in pairs}
         self._closure_cache = (state, closure)
         return closure

@@ -73,7 +73,7 @@ def hierarchy_containments(max_height: int) -> frozenset[tuple[int, int]]:
     Corollary 6.4 gives the proper chain ``SRL_1 ⊊ SRL_2 ⊊ ...`` (each
     level adds one two to the tower), so the containments are the
     reflexive-transitive closure of the successor edges ``h -> h + 1`` —
-    computed, like the Figure 1 lattice, through the logic layer's plan
+    computed, like the Figure 1 lattice, through the logic layer's default
     backend: the chain becomes a path-graph structure (level ``h`` is
     universe element ``h - 1``) and the Fact 4.1 TC formula runs
     set-at-a-time over it.
@@ -85,8 +85,7 @@ def hierarchy_containments(max_height: int) -> frozenset[tuple[int, int]]:
         {"E": frozenset((h - 1, h) for h in range(1, max_height))},
     )
     query = CANONICAL_QUERIES["tc"]
-    pairs = define_relation(query.formula(), structure, query.variables,
-                            backend="plan")
+    pairs = define_relation(query.formula(), structure, query.variables)
     return frozenset((lower + 1, upper + 1) for lower, upper in pairs)
 
 

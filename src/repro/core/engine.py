@@ -21,13 +21,11 @@ order, and runs it on one of three interchangeable backends:
 
 ``reference``
     The oracle bundle: the same interpreter, but with naive fixed points
-    (:attr:`Session.seminaive`), tuple-at-a-time logic
-    (:attr:`Session.logic_backend`) and no plan optimizer
-    (:attr:`Session.logic_optimize`).  Exists as a differential baseline.
-    The naive strategy reaches the logic layer only through the tuple
-    oracle: the plan and columnar backends run semi-naive fixed points
-    alone, so a ``reference`` session with ``logic_backend="plan"`` or
-    ``"columnar"`` has its logic calls refused with a ``ValueError``.
+    (:attr:`Session.seminaive`) and tuple-at-a-time logic
+    (:attr:`Session.logic_backend`), which never builds a plan.  Exists
+    as a differential baseline.  The naive strategy reaches the logic
+    layer only through the tuple oracle, the one logic backend that
+    runs naive fixed points.
 
 All three agree on values and on the semantically determined counters
 (``inserts``, reduce iterations, ``function_calls``, ``new_values``, peak
@@ -106,11 +104,8 @@ class Session:
         Optional permutation of atom ranks (the Section 7 implementation
         order); can also be overridden per run.
     backend:
-        One of :data:`BACKENDS`; defaults to ``"compiled"``.
-    logic_backend:
-        Optional explicit logic-layer strategy (one of
-        :data:`repro.logic.eval.LOGIC_BACKENDS`); by default it is derived
-        from ``backend`` (see :attr:`logic_backend`).
+        One of :data:`BACKENDS`; defaults to ``"compiled"``.  It also
+        fixes the logic-layer strategy (see :attr:`logic_backend`).
     budget:
         Optional :class:`~repro.core.governor.Budget` (deadline, row /
         round / memo caps, cancel token).  Each run and each logic-layer
@@ -130,27 +125,16 @@ class Session:
         atom_order: Sequence[int] | None = None,
         backend: str = "compiled",
         budget: Budget | None = None,
-        logic_backend: str | None = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}: expected one of {BACKENDS}"
             )
-        if logic_backend is not None:
-            from repro.logic.eval import LOGIC_BACKENDS
-            if logic_backend not in LOGIC_BACKENDS:
-                raise ValueError(
-                    f"unknown logic backend {logic_backend!r}: expected one "
-                    f"of {LOGIC_BACKENDS}"
-                )
         self.program = program if program is not None else Program()
         self.limits = limits if limits is not None else EvaluationLimits()
         self.atom_order = tuple(atom_order) if atom_order is not None else None
         self.backend = backend
         self.budget = budget
-        # Explicit logic-layer strategy; ``None`` derives it from the
-        # engine backend (see :attr:`logic_backend`).
-        self._logic_backend_override = logic_backend
         #: The session's degradation audit log: every time the logic layer
         #: dropped a rung (optimized plan -> raw plan -> tuple oracle, or
         #: skipped a memo store), a
@@ -231,35 +215,21 @@ class Session:
         """The logic layer's evaluation strategy for this session.
 
         The production backends (``compiled``, ``interp``) evaluate
-        formulas set-at-a-time through the relational-plan pipeline
-        (:mod:`repro.logic.plan`); the ``reference`` backend keeps the
+        formulas set-at-a-time on optimized plans run by the columnar
+        walker (:mod:`repro.logic.codegen`), the logic layer's one
+        production configuration; the ``reference`` backend keeps the
         tuple-at-a-time enumeration as the differential oracle — the same
-        production/oracle split as :attr:`seminaive`.  The constructor's
-        ``logic_backend`` argument overrides the derivation (e.g.
-        ``"columnar"`` for the bitset/CSR plan walker of
-        :mod:`repro.logic.codegen`).
+        production/oracle split as :attr:`seminaive`.
         """
-        if self._logic_backend_override is not None:
-            return self._logic_backend_override
-        return "tuple" if self.backend == "reference" else "plan"
+        return "tuple" if self.backend == "reference" else "columnar"
 
-    @property
-    def logic_optimize(self) -> bool:
-        """Whether this session's plan-backend formulas run through the
-        plan optimizer (:mod:`repro.logic.optimize`).  The production
-        backends optimize; ``reference`` evaluates tuple-at-a-time anyway,
-        and stays the differential oracle."""
-        return self.backend != "reference"
-
-    def define_relation(self, formula, structure, variables,
-                        memoize: bool = True) -> frozenset:
+    def define_relation(self, formula, structure, variables) -> frozenset:
         """:func:`repro.logic.eval.define_relation` with the logic backend
         and fixed-point strategy picked by this session's backend."""
         from repro.logic.eval import define_relation
         return define_relation(formula, structure, tuple(variables),
-                               memoize=memoize, seminaive=self.seminaive,
+                               seminaive=self.seminaive,
                                backend=self.logic_backend,
-                               optimize=self.logic_optimize,
                                budget=self.budget,
                                degradations=self.degradations)
 
@@ -313,7 +283,6 @@ class Session:
             return cached[2]
         checker = ModelChecker(structure, seminaive=self.seminaive,
                                backend=self.logic_backend,
-                               optimize=self.logic_optimize,
                                budget=self.budget)
         self._logic_checker = (structure,
                                (self.logic_backend, self.budget), checker)

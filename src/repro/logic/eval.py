@@ -15,10 +15,12 @@ architecture" and "Semi-naive evaluation"):
   therefore computes each closure/fixed point once per ``(formula,
   auxiliary snapshot)`` and answers every subsequent atom evaluation with a
   set lookup.  Without this, ``define_relation`` over ``n^k`` rows
-  recomputes the same closure ``n^k`` times.  Pass ``memoize=False`` to get
-  the seed's recompute-every-time behaviour (benchmarks use it as the
-  baseline).  The plan backends memoize each defined relation per
-  ``(formula, auxiliary snapshot, layout)`` the same way.
+  recomputes the same closure ``n^k`` times.  The plan backends memoize
+  each defined relation per ``(formula, auxiliary snapshot, layout)`` the
+  same way.  The memo is always on: the recompute-every-time baseline is a
+  fresh ``evaluate(formula, structure, assignment, backend="tuple")`` per
+  row, and the raw-plan baseline is ``compile_formula(formula,
+  layout).execute(...)``.
 
 * **Semi-naive fixed points.**  Each closure/fixed point is itself computed
   by delta propagation through the engine's relational kernels: TC/DTC
@@ -87,13 +89,13 @@ from .formula import (
 __all__ = ["LOGIC_BACKENDS", "ModelChecker", "evaluate", "define_relation"]
 
 
-#: The logic layer's interchangeable evaluation strategies: ``plan``
-#: compiles formulas to set-at-a-time relational-algebra plans
-#: (:mod:`repro.logic.compile`); ``columnar`` additionally runs each
-#: plan on the columnar walker over bitset/CSR kernels
-#: (:mod:`repro.logic.codegen`), falling back to the plan interpreter on
-#: any columnar-side failure; ``tuple`` is the tuple-at-a-time
-#: enumeration below, kept as the differential oracle.
+#: The logic layer's interchangeable evaluation strategies: ``columnar``
+#: (the default everywhere) compiles formulas to optimized set-at-a-time
+#: relational-algebra plans (:mod:`repro.logic.compile`) and runs each on
+#: the columnar walker over bitset/CSR kernels (:mod:`repro.logic.codegen`);
+#: ``plan`` runs the same plans on the plan interpreter, the rung
+#: ``columnar`` falls back to on any columnar-side failure; ``tuple`` is
+#: the tuple-at-a-time enumeration below, kept as the differential oracle.
 LOGIC_BACKENDS = ("plan", "columnar", "tuple")
 
 #: Sentinel distinguishing "variable was unbound" from "bound to 0".
@@ -112,10 +114,6 @@ class ModelChecker:
     relation variables (used internally by LFP iteration, and available to
     callers who want to model-check a formula with a given stage relation).
 
-    ``memoize`` controls the fixed-point/closure cache described in the
-    module docstring; leave it on except when measuring the uncached
-    baseline.
-
     ``seminaive`` selects the tuple backend's fixed-point strategy: delta
     propagation through the engine's semi-naive kernels (the default), or
     the naive re-derive-everything iteration (the differential oracle and
@@ -125,25 +123,24 @@ class ModelChecker:
     :class:`ValueError` for ``seminaive=False``.
 
     ``backend`` selects the evaluation strategy (:data:`LOGIC_BACKENDS`):
-    ``"tuple"`` (the default here — the recursive enumeration this class
-    has always implemented, kept as the differential oracle) or
-    ``"plan"``, which compiles each formula once to a set-at-a-time
-    relational-algebra plan (:mod:`repro.logic.compile`), executes it
-    over the whole structure, and answers every assignment with a row
-    lookup; or ``"columnar"``, which additionally runs each plan on the
-    columnar walker over bitset/CSR kernels
-    (:mod:`repro.logic.codegen`) and degrades to the plan interpreter on
-    any columnar-side failure.  The Session facade picks ``plan`` for
-    its production backends (see
-    :meth:`repro.core.engine.Session.logic_backend`).
+    ``"columnar"`` (the default, and the one production configuration)
+    compiles each formula once to a set-at-a-time relational-algebra plan
+    (:mod:`repro.logic.compile`), optimizes it and runs it on the
+    columnar walker over bitset/CSR kernels (:mod:`repro.logic.codegen`),
+    answering every assignment with a row lookup; ``"plan"`` runs the
+    same optimized plan on the plan interpreter, the rung ``columnar``
+    degrades to on any columnar-side failure; ``"tuple"`` is the
+    recursive enumeration this class has always implemented, kept as the
+    differential oracle (and the bottom rung of the ladder).
 
-    ``optimize`` (plan backend only, on by default) runs each compiled
-    plan through the :mod:`repro.logic.optimize` rewrite pipeline —
-    selection pushdown, dead-column pruning, cost-based join reordering,
-    semi-naive delta rewriting of fixed points, common-subplan sharing —
-    against the structure's live statistics.  ``optimize=False`` executes
-    the raw compiled plan, kept as the differential oracle for the
-    optimizer itself.  ``plan_stats`` accumulates the plan executions'
+    Every plan goes through the :mod:`repro.logic.optimize` rewrite
+    pipeline — selection pushdown, dead-column pruning, cost-based join
+    reordering, semi-naive delta rewriting of fixed points,
+    common-subplan sharing — against the structure's live statistics.
+    The raw compiled plan, the optimizer's differential oracle, is run
+    directly (``compile_formula(formula, layout).execute(...)``) by the
+    tests that need it, and by the ladder when optimizing fails.
+    ``plan_stats`` accumulates the plan executions'
     :class:`~repro.logic.plan.PlanStats` counters across this checker's
     lifetime (the CLI's ``--stats``); set it to ``None`` to skip the
     accounting.
@@ -155,8 +152,7 @@ class ModelChecker:
 
     def __init__(self, structure: Structure,
                  auxiliary: Mapping[str, frozenset[tuple[int, ...]]] | None = None,
-                 memoize: bool = True, seminaive: bool = True,
-                 backend: str = "tuple", optimize: bool = True,
+                 seminaive: bool = True, backend: str = "columnar",
                  budget: Budget | None = None):
         if backend not in LOGIC_BACKENDS:
             raise ValueError(
@@ -170,10 +166,8 @@ class ModelChecker:
                 f"of backend=\"tuple\"")
         self.structure = structure
         self.auxiliary = dict(auxiliary or {})
-        self.memoize = memoize
         self.seminaive = seminaive
         self.backend = backend
-        self.optimize = optimize
         self.budget = budget
         #: The degradation ladder's audit log: one event per rung dropped
         #: (optimized plan -> raw plan -> tuple oracle, memo store skipped).
@@ -430,7 +424,8 @@ class ModelChecker:
         structure, through a fresh tuple-backend checker (immune to
         plan-side faults) sharing this call's governor — the ``delta``
         strategy's counting re-check."""
-        oracle = ModelChecker(self.structure, auxiliary=dict(snapshot))
+        oracle = ModelChecker(self.structure, auxiliary=dict(snapshot),
+                              backend="tuple")
         oracle._governor = governor
 
         def support(row: tuple) -> bool:
@@ -471,12 +466,11 @@ class ModelChecker:
         Raises :class:`_TupleFallback` at the bottom of the degradation
         ladder (nothing is cached in that case)."""
         key = self._plan_key(formula, layout)
-        cached = self._fixpoint_cache.get(key) if self.memoize else None
+        cached = self._fixpoint_cache.get(key)
         if cached is not None:
             return cached
         columns, rows = self._plan_rows(formula, layout)
-        if self.memoize:
-            self._memo_store(key, (columns, rows))
+        self._memo_store(key, (columns, rows))
         return columns, rows
 
     def _plan_rows(self, formula: Formula, layout: tuple[str, ...] | None
@@ -511,13 +505,12 @@ class ModelChecker:
                                     memo=self._plan_memo, governor=governor)
 
         plan = None
-        if self.optimize:
-            try:
-                plan = optimize_formula(formula, self.structure, layout,
-                                        governor=governor)
-            except Exception as error:
-                degradations.append(
-                    DegradationEvent("optimize", "raw-plan", repr(error)))
+        try:
+            plan = optimize_formula(formula, self.structure, layout,
+                                    governor=governor)
+        except Exception as error:
+            degradations.append(
+                DegradationEvent("optimize", "raw-plan", repr(error)))
         raw = None
         if self.backend == "columnar":
             target = plan
@@ -553,8 +546,8 @@ class ModelChecker:
 
     def _eval_plan(self, formula: Formula, assignment: dict[str, int]) -> bool:
         """Set-at-a-time evaluation: compile once (memoized per formula),
-        optimize against the structure's statistics (unless the checker is
-        the ``optimize=False`` oracle), execute the plan into the formula's
+        optimize against the structure's statistics, execute the plan into
+        the formula's
         defined relation over its free variables, and decide the assignment
         by a row lookup.  The relation depends only on the formula and the
         auxiliary snapshot, so it is cached exactly like the tuple
@@ -672,14 +665,12 @@ class ModelChecker:
         The result depends only on the formula and the auxiliary snapshot,
         so it is memoized per ``(formula, snapshot)``.
         """
-        if self.memoize:
-            key = ("lfp", formula, self._aux_snapshot())
-            cached = self._fixpoint_cache.get(key)
-            if cached is not None:
-                return cached
+        key = ("lfp", formula, self._aux_snapshot())
+        cached = self._fixpoint_cache.get(key)
+        if cached is not None:
+            return cached
         result = self._compute_lfp(formula)
-        if self.memoize:
-            self._memo_store(key, result)
+        self._memo_store(key, result)
         return result
 
     def _compute_lfp(self, formula: LFPAtom) -> frozenset[tuple[int, ...]]:
@@ -794,14 +785,12 @@ class ModelChecker:
         return successors
 
     def _tc(self, formula: TCAtom | DTCAtom, deterministic: bool) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if self.memoize:
-            key = ("dtc" if deterministic else "tc", formula, self._aux_snapshot())
-            cached = self._fixpoint_cache.get(key)
-            if cached is not None:
-                return cached
+        key = ("dtc" if deterministic else "tc", formula, self._aux_snapshot())
+        cached = self._fixpoint_cache.get(key)
+        if cached is not None:
+            return cached
         result = self._compute_tc(formula, deterministic)
-        if self.memoize:
-            self._memo_store(key, result)
+        self._memo_store(key, result)
         return result
 
     def _compute_tc(self, formula: TCAtom | DTCAtom, deterministic: bool) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -824,20 +813,17 @@ class ModelChecker:
 
 def evaluate(formula: Formula, structure: Structure,
              assignment: Mapping[str, int] | None = None,
-             backend: str = "tuple", optimize: bool = True,
+             backend: str = "columnar",
              budget: Budget | None = None) -> bool:
     """Convenience wrapper around :class:`ModelChecker`."""
-    checker = ModelChecker(structure, backend=backend, optimize=optimize,
-                           budget=budget)
+    checker = ModelChecker(structure, backend=backend, budget=budget)
     return checker.evaluate(formula, assignment)
 
 
 def define_relation(formula: Formula, structure: Structure,
                     variables: tuple[str, ...],
-                    memoize: bool = True,
                     seminaive: bool = True,
-                    backend: str = "tuple",
-                    optimize: bool = True,
+                    backend: str = "columnar",
                     stats: PlanStats | None = None,
                     budget: Budget | None = None,
                     degradations: list | None = None) -> frozenset[tuple[int, ...]]:
@@ -848,15 +834,14 @@ def define_relation(formula: Formula, structure: Structure,
 
     A one-shot :class:`ModelChecker` answers through
     :meth:`~ModelChecker.defined_relation`, so the parameters mean what
-    they mean there.  With ``backend="plan"`` the formula is compiled once
-    to a relational plan, rewritten by the plan optimizer against the
-    structure's statistics (unless ``optimize=False``, the optimizer's
-    differential oracle), and executed set-at-a-time — no per-row
-    enumeration at all.  ``backend="columnar"`` further runs the plan on
-    the columnar bitset/CSR walker (:mod:`repro.logic.codegen`).  With the
-    default ``backend="tuple"`` (the oracle), the checker is reused across
-    all ``n^k`` rows, so any TC/DTC/LFP sub-formula is closed over once
-    (when ``memoize``) instead of once per row; ``seminaive=False`` picks
+    they mean there.  With the default ``backend="columnar"`` the formula
+    is compiled once to a relational plan, rewritten by the plan optimizer
+    against the structure's statistics, and executed set-at-a-time on the
+    columnar bitset/CSR walker (:mod:`repro.logic.codegen`) — no per-row
+    enumeration at all; ``backend="plan"`` runs the same plan on the plan
+    interpreter.  With ``backend="tuple"`` (the oracle), the checker is
+    reused across all ``n^k`` rows, so any TC/DTC/LFP sub-formula is
+    closed over once instead of once per row; ``seminaive=False`` picks
     the naive fixed-point oracle there and is refused by the plan
     backends.
 
@@ -866,8 +851,8 @@ def define_relation(formula: Formula, structure: Structure,
     one definition; each rung the degradation ladder drops is appended to
     ``degradations`` when a list is supplied.
     """
-    checker = ModelChecker(structure, memoize=memoize, seminaive=seminaive,
-                           backend=backend, optimize=optimize, budget=budget)
+    checker = ModelChecker(structure, seminaive=seminaive, backend=backend,
+                           budget=budget)
     checker.plan_stats = stats
     if degradations is not None:
         checker.degradations = degradations

@@ -11,7 +11,6 @@ them (Proposition 3.3) is one half of Theorem 3.10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Sequence
 
 from repro.structures.structure import Structure
@@ -48,6 +47,11 @@ class Interpretation:
                     f"relation {name}: expected {expected} free variables "
                     f"(arity x k), got {len(variables)}"
                 )
+            if len(set(variables)) != len(variables):
+                raise ValueError(
+                    f"relation {name}: the {expected} free variables must "
+                    f"be distinct, got {tuple(variables)}"
+                )
 
     def target_size(self, source: Structure) -> int:
         return source.size ** self.k
@@ -61,23 +65,21 @@ class Interpretation:
         return index
 
     def apply(self, source: Structure) -> Structure:
-        """The image structure ``m_phi(source)``."""
+        """The image structure ``m_phi(source)``: each target relation is
+        the source relation its formula defines over its ``b*k`` variables
+        (one set-at-a-time :meth:`ModelChecker.defined_relation` call),
+        with each run of ``k`` columns encoded as one target element."""
         checker = ModelChecker(source)
         n = source.size
         relations: dict[str, frozenset[tuple[int, ...]]] = {}
         for name in self.target_vocabulary:
             arity = self.target_vocabulary.arity(name)
             variables, formula = self.relation_formulas[name]
-            rows = set()
-            for flat in product(source.universe, repeat=arity * self.k):
-                assignment = dict(zip(variables, flat))
-                if checker.evaluate(formula, assignment):
-                    coordinates = tuple(
-                        self.tuple_index(flat[i * self.k: (i + 1) * self.k], n)
-                        for i in range(arity)
-                    )
-                    rows.add(coordinates)
-            relations[name] = frozenset(rows)
+            _, rows = checker.defined_relation(formula, tuple(variables))
+            relations[name] = frozenset(
+                tuple(self.tuple_index(flat[i * self.k: (i + 1) * self.k], n)
+                      for i in range(arity))
+                for flat in rows)
         return Structure(self.target_vocabulary, self.target_size(source), relations)
 
 

@@ -49,9 +49,8 @@ structure-statistics) pair:
     is reused across occurrences and across fixpoint rounds.
 
 The passes only ever rewrite plans into observationally identical plans;
-``optimize=False`` on :class:`~repro.logic.eval.ModelChecker` /
-:func:`~repro.logic.eval.define_relation` keeps the raw compiled plan as
-the differential oracle, and the three-way suite in
+the raw compiled plan (:func:`~repro.logic.compile.compile_formula`, run
+directly) is the differential oracle, and the suite in
 ``tests/logic/test_plan_differential.py`` pins optimized == raw == tuple.
 """
 

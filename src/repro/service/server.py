@@ -7,8 +7,8 @@ whose endpoints map the engine's typed failure taxonomy onto HTTP:
 ``POST /query``          evaluate a canonical query on a resident
                          structure; body mirrors the worker request
                          (``structure``, ``query``, ``backend?``,
-                         ``optimize?``, ``deadline_seconds?``,
-                         ``max_rows?``)
+                         ``deadline_seconds?``, ``max_rows?``); other
+                         fields are ignored
 ``POST /load``           make another structure resident on every worker
 ``GET /health``          liveness + full pool/admission/breaker report
 ``GET /ready``           readiness: 200 only when every worker is alive
@@ -192,7 +192,6 @@ class QueryService:
             "structure": payload.get("structure"),
             "query": payload.get("query"),
             "backend": payload.get("backend", "columnar"),
-            "optimize": payload.get("optimize", True),
             "deadline_seconds": remaining,
             "max_rows": payload.get("max_rows"),
         }

@@ -8,7 +8,7 @@ it, and replay an idempotent read elsewhere — so nothing a worker holds
 is ever the only copy of anything.
 
 Caching: evaluation goes through one :class:`ModelChecker` per
-``(structure, backend, optimize, stats signature)``.  The checker's memo
+``(structure, backend, stats signature)``.  The checker's memo
 *is* the compiled+optimized plan cache — plans (and their defined
 relations) are keyed by the frozen formula, and the **stats signature**
 (relation cardinalities + universe size, i.e. everything the cost-based
@@ -29,8 +29,8 @@ Protocol ops (see :mod:`repro.service.protocol` for framing):
 ``ping``       liveness probe -> ``{ok, pid}``
 ``load``       ``{name, path}``: make a structure resident (JSON or RSNP
                snapshot, sniffed by magic) -> ``{ok, size}``
-``query``      ``{structure, query, backend?, optimize?,
-               deadline_seconds?, max_rows?}`` -> ``{ok, columns, rows}``
+``query``      ``{structure, query, backend?, deadline_seconds?,
+               max_rows?}`` -> ``{ok, columns, rows}``
                / ``{ok, result}`` for sentences / ``{ok: false, error}``
 ``shutdown``   acknowledge, then exit 0
 =============  =========================================================
@@ -206,13 +206,13 @@ class Worker:
         return {"ok": True, "id": reply_id, "op": "load", "name": name,
                 "size": structure.size}
 
-    def _checker_for(self, name: str, backend: str,
-                     optimize: bool) -> tuple[ModelChecker, dict]:
+    def _checker_for(self, name: str,
+                     backend: str) -> tuple[ModelChecker, dict]:
         structure = self.structures.get(name)
         if structure is None:
             raise KeyError(f"structure {name!r} is not resident; loaded: "
                            f"{sorted(self.structures) or 'none'}")
-        key = (name, backend, optimize, stats_signature(structure))
+        key = (name, backend, stats_signature(structure))
         entry = self._checkers.get(key)
         if entry is None:
             # New stats signature: drop this (name, backend) slot's stale
@@ -220,9 +220,8 @@ class Worker:
             self._checkers = {
                 existing: value
                 for existing, value in self._checkers.items()
-                if existing[:3] != (name, backend, optimize)}
-            entry = (ModelChecker(structure, backend=backend,
-                                  optimize=optimize), {})
+                if existing[:2] != (name, backend)}
+            entry = (ModelChecker(structure, backend=backend), {})
             self._checkers[key] = entry
         return entry
 
@@ -243,9 +242,7 @@ class Worker:
             raise ValueError(
                 f"unknown backend {backend!r}: expected one of "
                 f"{LOGIC_BACKENDS}")
-        optimize = bool(request.get("optimize", True))
-        checker, answers = self._checker_for(request["structure"], backend,
-                                             optimize)
+        checker, answers = self._checker_for(request["structure"], backend)
         deadline = request.get("deadline_seconds")
         max_rows = request.get("max_rows")
         token = self.external_cancel

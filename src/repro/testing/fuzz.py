@@ -8,13 +8,14 @@ formula from one of three adversarial profiles, a random structure, and
 a random single-fact update sequence, then runs the **four-way
 differential with maintenance in the loop** — after every update batch,
 
-* four live checkers (columnar / optimized plan / raw plan / tuple),
-  each maintaining its own memo through
-  :meth:`~repro.logic.eval.ModelChecker.apply_update`, must agree with
-* a from-scratch tuple-oracle recompute on a pristine copy of the
-  post-update structure,
+* three live checkers (columnar / optimized plan / tuple), each
+  maintaining its own memo through
+  :meth:`~repro.logic.eval.ModelChecker.apply_update`, and
+* the raw compiled plan (the optimizer's oracle), recomputed from scratch,
 
-and the four mutated structures must be equal.  Any divergence prints
+must agree with a from-scratch tuple-oracle recompute on a pristine copy
+of the post-update structure, and the three mutated structures must be
+equal.  Any divergence prints
 the case seed and the exact replay command.
 
 Profiles shape the generator's constructor weights:
@@ -230,7 +231,9 @@ def run_case(seed: int, profile: str | None = None,
     """One fuzz case; raises :class:`FuzzFailure` on any divergence.
     Returns the merged per-strategy maintenance counters (so sweeps can
     report which strategies the corpus actually exercised)."""
+    from repro.logic.compile import compile_formula
     from repro.logic.eval import ModelChecker, define_relation
+    from repro.logic.plan import ExecutionContext
 
     rng = random.Random(seed)
     if profile is None:
@@ -244,9 +247,9 @@ def run_case(seed: int, profile: str | None = None,
     checkers = {
         "columnar": ModelChecker(_copy(base), backend="columnar"),
         "optimized": ModelChecker(_copy(base), backend="plan"),
-        "raw": ModelChecker(_copy(base), backend="plan", optimize=False),
         "tuple": ModelChecker(_copy(base), backend="tuple"),
     }
+    raw = compile_formula(formula, layout)
     for checker in checkers.values():
         checker.defined_relation(formula)  # prime the memo
 
@@ -263,8 +266,11 @@ def run_case(seed: int, profile: str | None = None,
                     f"{changeset!r}")
         oracle = define_relation(formula, _copy(reference), layout,
                                  backend="tuple")
-        for name, checker in checkers.items():
-            columns, rows = checker.defined_relation(formula)
+        answers = {name: checker.defined_relation(formula)
+                   for name, checker in checkers.items()}
+        answers["raw"] = (raw.columns, frozenset(raw.execute(
+            ExecutionContext(_copy(reference), {})).rows))
+        for name, (columns, rows) in answers.items():
             if _normalized(columns, rows) != _normalized(layout, oracle):
                 raise FuzzFailure(
                     seed, profile,

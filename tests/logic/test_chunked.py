@@ -25,7 +25,7 @@ from repro.logic.codegen import (
 )
 from repro.logic.compile import compile_formula
 from repro.logic.eval import define_relation
-from repro.logic.plan import DomainProduct, PlanStats
+from repro.logic.plan import DomainProduct, ExecutionContext, PlanStats
 from repro.logic.queries import CANONICAL_QUERIES
 from repro.structures import (
     load_structure,
@@ -69,7 +69,8 @@ def test_four_way_differential(chunk_everything, tmp_path, name, seed):
                         degradations=degradations)
     assert degradations == [], f"{name} degraded off the chunked path"
     assert chunked == _relation(query, structure, "plan")
-    assert chunked == _relation(query, original, "plan", optimize=False)
+    raw = compile_formula(query.formula(), query.variables)
+    assert chunked == frozenset(raw.execute(ExecutionContext(original)).rows)
     assert chunked == _relation(query, original, "tuple")
 
 
@@ -182,12 +183,13 @@ def test_unsupported_shapes_raise_chunked_unsupported():
 
 
 def test_unsupported_shapes_degrade_to_the_plan_backend(chunk_everything):
-    """non-reach compiles to a universe**2 complement: chunked refuses,
-    the ladder records the degradation, and the answer stays exact."""
+    """non-reach needs a universe**2 complement even after optimizing:
+    chunked refuses, the ladder records the degradation, and the answer
+    stays exact."""
     query = CANONICAL_QUERIES["non-reach"]
     structure = random_graph(6, edge_probability=0.3, seed=4)
     degradations: list = []
-    result = _relation(query, structure, "columnar", optimize=False,
+    result = _relation(query, structure, "columnar",
                        degradations=degradations)
     assert result == _relation(query, structure, "tuple")
     assert any(event.stage == "columnar" and event.fallback == "plan"

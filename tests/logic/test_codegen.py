@@ -206,25 +206,17 @@ def test_complement_queries_on_columnar_backend():
 
 
 class TestSessionWiring:
-    def test_logic_backend_override(self):
-        session = Session(logic_backend="columnar")
+    def test_production_sessions_run_columnar(self):
+        session = Session()
         assert session.logic_backend == "columnar"
         structure = path_graph(6)
         rows = session.define_relation(TC, structure, ("x", "y"))
         oracle = Session(backend="reference")
         assert rows == oracle.define_relation(TC, structure, ("x", "y"))
 
-    def test_default_derivation_unchanged(self):
-        assert Session().logic_backend == "plan"
-        assert Session(backend="reference").logic_backend == "tuple"
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValueError, match="logic backend"):
-            Session(logic_backend="simd")
-
     def test_evaluate_formula_parity(self):
         structure = random_graph(7, 0.3, seed=4)
-        columnar = Session(logic_backend="columnar")
+        columnar = Session()
         reference = Session(backend="reference")
         count = count_at_least(2, "y", rel("E", "x", "y"))
         for x in structure.universe:

@@ -1,7 +1,8 @@
 """The IVM differential suite (P8 acceptance): after every update, each
 maintained relation must equal a from-scratch recompute on the tuple
-backend — across all four backends (columnar, optimized plan, raw plan,
-tuple), over both the canonical queries and the seeded fuzz corpus.
+backend — across the maintained backends (columnar, optimized plan,
+tuple; the fuzz harness also recomputes the raw compiled plan each step),
+over both the canonical queries and the seeded fuzz corpus.
 
 The tier-1 slice pins a small seed range of :func:`repro.testing.fuzz.
 run_case` (the same harness the nightly ``fuzz-corpus`` CI job sweeps at

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from repro.logic.eval import ModelChecker, define_relation, evaluate
 from repro.logic.formula import (
     MAX,
     ZERO,
+    TCAtom,
     and_,
     aux,
     count_at_least,
@@ -20,6 +23,7 @@ from repro.logic.formula import (
     neg,
     or_,
     rel,
+    var,
 )
 from repro.logic.games import counting_ef_equivalent, ef_equivalent, is_partial_isomorphism
 from repro.logic.interpretation import Interpretation, identity_interpretation
@@ -150,6 +154,45 @@ class TestInterpretations:
                 target_vocabulary=GRAPH_VOCABULARY,
                 relation_formulas={"E": (("x",), rel("E", "x", "x"))},
             )
+
+    def test_repeated_variable_is_rejected(self):
+        # Definition 3.1 needs b*k distinct free variables; a repeated
+        # name would bind two coordinates to one value.
+        with pytest.raises(ValueError, match="relation E"):
+            Interpretation(
+                k=2,
+                target_vocabulary=GRAPH_VOCABULARY,
+                relation_formulas={"E": (("x1", "x2", "x1", "y2"),
+                                         rel("E", "x1", "y2"))},
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binary_interpretation_with_tc_matches_per_row_oracle(self, seed):
+        # (x1, x2) -> (y1, y2) iff x1 reaches y1 and E(x2, y2); A holds of
+        # (x1, x2) iff some z reachable from x1 has an edge to x2.
+        reach = TCAtom(("s",), ("t",), rel("E", "s", "t"),
+                       (var("x1"),), (var("y1"),))
+        reach_z = TCAtom(("s",), ("t",), rel("E", "s", "t"),
+                         (var("x1"),), (var("z"),))
+        formulas = {
+            "E": (("x1", "x2", "y1", "y2"),
+                  and_(reach, rel("E", "x2", "y2"))),
+            "A": (("x1", "x2"), exists("z", and_(reach_z, rel("E", "z", "x2")))),
+        }
+        vocabulary = Vocabulary.of(E=2, A=1)
+        interpretation = Interpretation(2, vocabulary, formulas)
+        g = random_graph(4, edge_probability=0.4, seed=seed)
+        image = interpretation.apply(g)
+        assert image.size == 16
+        for name, (variables, formula) in formulas.items():
+            expected = set()
+            for flat in product(g.universe, repeat=len(variables)):
+                if evaluate(formula, g, dict(zip(variables, flat)),
+                            backend="tuple"):
+                    expected.add(tuple(
+                        interpretation.tuple_index(flat[i:i + 2], g.size)
+                        for i in range(0, len(flat), 2)))
+            assert image.relation(name) == frozenset(expected), name
 
 
 class TestEFGames:

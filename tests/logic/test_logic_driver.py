@@ -1,28 +1,36 @@
-"""One logic driver, one set-at-a-time fixed-point strategy.
+"""One logic driver, one configuration, one set-at-a-time fixed-point
+strategy.
 
 :func:`~repro.logic.eval.define_relation` is a one-shot
 :class:`~repro.logic.eval.ModelChecker`, so every entry point runs the same
 degradation ladder; the plan and columnar backends run semi-naive fixed
-points only, leaving the naive strategy to the tuple oracle.  The AST
-guards at the bottom keep it that way.
+points only, leaving the naive strategy to the tuple oracle.  Every logic
+entry point defaults to ``"columnar"``, and the oracles (the tuple checker,
+the raw compiled plan, a recompute per row) are built by the tests that
+need them, not selected by a production switch.  The AST guards at the
+bottom keep it that way.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.__main__ import _build_logic_argument_parser
+from repro.core.engine import Session
 from repro.core.governor import Budget
-from repro.logic.eval import ModelChecker, define_relation
+from repro.logic.eval import ModelChecker, define_relation, evaluate
 from repro.logic.formula import rel
 from repro.logic.queries import CANONICAL_QUERIES
 from repro.structures import Changeset, random_alternating_graph
 
-LOGIC_ROOT = Path(repro.__file__).resolve().parent / "logic"
+REPRO_ROOT = Path(repro.__file__).resolve().parent
+LOGIC_ROOT = REPRO_ROOT / "logic"
 PLAN_BACKENDS = ("plan", "columnar")
 
 
@@ -157,3 +165,82 @@ def test_only_the_checker_drives_the_plan_executors():
         (inside if checker else outside).extend(_driver_calls(node))
     assert outside == []
     assert set(inside) == {"execute_columnar", "ExecutionContext"}
+
+
+# ---------------------------------------------------- one configuration
+
+
+#: Settable values that existed only for tests and benchmarks; their
+#: baselines are now built from the oracles directly.
+RETIRED_PARAMETERS = {"memoize", "optimize", "logic_backend"}
+
+
+def _parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _defaults(function: ast.AST):
+    """``(parameter name, default node)`` for every defaulted parameter."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    yield from zip((a.arg for a in positional[len(positional)
+                                               - len(args.defaults):]),
+                   args.defaults)
+    yield from ((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None)
+
+
+def test_no_source_function_defaults_a_backend_to_the_oracle():
+    offenders = []
+    for path in sorted(REPRO_ROOT.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            for name, default in _defaults(node):
+                if name == "backend" and isinstance(default, ast.Constant) \
+                        and default.value == "tuple":
+                    offenders.append(f"{path.relative_to(REPRO_ROOT)}:"
+                                     f"{node.lineno}")
+    assert offenders == []
+
+
+def test_production_modules_read_no_oracle_switch():
+    """Outside ``repro/testing`` no module passes ``memoize=`` or
+    ``optimize=`` or reads a ``.memoize`` / ``.optimize`` attribute."""
+    offenders = []
+    for path in sorted(REPRO_ROOT.rglob("*.py")):
+        relative = path.relative_to(REPRO_ROOT)
+        if relative.parts[0] == "testing":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.keyword) and \
+                    node.arg in ("memoize", "optimize"):
+                offenders.append(f"{relative}:{node.lineno} {node.arg}=")
+            elif isinstance(node, ast.Attribute) and \
+                    node.attr in ("memoize", "optimize"):
+                offenders.append(f"{relative}:{node.lineno} .{node.attr}")
+    assert offenders == []
+
+
+@pytest.mark.parametrize("entry", [ModelChecker, evaluate, define_relation,
+                                   Session, Session.define_relation],
+                         ids=lambda entry: entry.__qualname__)
+def test_entry_points_accept_no_retired_parameter(entry):
+    parameters = set(inspect.signature(entry).parameters)
+    assert parameters & RETIRED_PARAMETERS == set()
+    if "backend" in parameters and entry is not Session:
+        default = inspect.signature(entry).parameters["backend"].default
+        assert default == "columnar"
+
+
+def test_every_logic_default_is_columnar():
+    """The CLI and a bare checker default to columnar (``Session``'s
+    derivation is pinned in ``test_plan.py``)."""
+    parser = _build_logic_argument_parser()
+    assert parser.parse_args(["tc"]).backend == "columnar"
+    assert "--no-optimize" not in parser.format_help()
+    structure = random_alternating_graph(4, seed=6)
+    assert ModelChecker(structure).backend == "columnar"
+    with pytest.raises(TypeError):
+        Session(logic_backend="columnar")

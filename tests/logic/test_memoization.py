@@ -1,8 +1,9 @@
-"""Tests for the model checker's fixed-point/closure memoization and the
+"""Tests for the tuple checker's fixed-point/closure memoization and the
 mutate-and-restore quantifier evaluation (perf overhaul, see DESIGN.md).
 
 The memoized checker must be *observationally identical* to the seed's
-recompute-every-time checker (``memoize=False``), including when the
+recompute-every-time behaviour — a fresh ``evaluate(..., backend="tuple")``
+per row, so no closure is shared between rows — including when the
 auxiliary interpretations in scope change between evaluations of the same
 formula object.
 """
@@ -42,23 +43,29 @@ def _lfp_reach_with_free_endpoints() -> LFPAtom:
     return LFPAtom("R", ("x", "y"), body, (var("u"), var("v")))
 
 
+def _recomputed(formula, g) -> frozenset:
+    """The defined relation over ``(u, v)``, one fresh tuple checker per
+    row (the recompute-every-time oracle)."""
+    return frozenset(
+        (u, v) for u in g.universe for v in g.universe
+        if evaluate(formula, g, {"u": u, "v": v}, backend="tuple"))
+
+
 class TestMemoizedFixedPointsAgree:
     @pytest.mark.parametrize("seed", range(4))
     def test_tc_define_relation_matches_unmemoized_and_baseline(self, seed):
         g = random_graph(6, seed=seed)
         formula = _tc_with_free_endpoints()
-        memoized = define_relation(formula, g, ("u", "v"), memoize=True)
-        recomputed = define_relation(formula, g, ("u", "v"), memoize=False)
-        assert memoized == recomputed
+        memoized = define_relation(formula, g, ("u", "v"), backend="tuple")
+        assert memoized == _recomputed(formula, g)
         assert memoized == transitive_closure_baseline(g)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lfp_define_relation_matches_unmemoized(self, seed):
         g = random_graph(5, seed=seed)
         formula = _lfp_reach_with_free_endpoints()
-        memoized = define_relation(formula, g, ("u", "v"), memoize=True)
-        recomputed = define_relation(formula, g, ("u", "v"), memoize=False)
-        assert memoized == recomputed
+        memoized = define_relation(formula, g, ("u", "v"), backend="tuple")
+        assert memoized == _recomputed(formula, g)
         # The GAP fixed point *is* reflexive transitive reachability.
         assert memoized == transitive_closure_baseline(g)
 
@@ -66,15 +73,17 @@ class TestMemoizedFixedPointsAgree:
     def test_sentences_agree_between_modes(self, seed):
         g = random_graph(6, seed=seed)
         for sentence in (gap_formula(), reachability_tc(), reachability_dtc()):
+            checker = ModelChecker(g, backend="tuple")
             assert (
-                ModelChecker(g, memoize=True).evaluate(sentence)
-                == ModelChecker(g, memoize=False).evaluate(sentence)
+                checker.evaluate(sentence)
+                == checker.evaluate(sentence)  # answered from the memo
+                == evaluate(sentence, g, backend="tuple")
                 == evaluate(sentence, g)
             )
 
     def test_repeated_evaluations_hit_the_cache(self):
         g = random_graph(6, seed=1)
-        checker = ModelChecker(g)
+        checker = ModelChecker(g, backend="tuple")
         formula = _tc_with_free_endpoints()
         first = {(u, v)
                  for u in g.universe for v in g.universe
@@ -95,7 +104,8 @@ class TestMemoKeyedOnAuxiliarySnapshot:
         )
         formula = LFPAtom("R", ("x", "y"), body, (var("u"), var("v")))
 
-        checker = ModelChecker(g, {"EXTRA": frozenset({(0, 1)})})
+        checker = ModelChecker(g, {"EXTRA": frozenset({(0, 1)})},
+                               backend="tuple")
         assert checker.evaluate(formula, {"u": 0, "v": 1})
         assert not checker.evaluate(formula, {"u": 1, "v": 2})
 
@@ -108,7 +118,7 @@ class TestMemoKeyedOnAuxiliarySnapshot:
     def test_stage_relation_is_restored_after_lfp(self):
         g = path_graph(3)
         outer = frozenset({(2, 0)})
-        checker = ModelChecker(g, {"R": outer})
+        checker = ModelChecker(g, {"R": outer}, backend="tuple")
         formula = _lfp_reach_with_free_endpoints()  # binds R internally
         assert checker.evaluate(formula, {"u": 0, "v": 2})
         # The LFP iteration shadowed R via mutate-and-restore; the caller's
@@ -119,7 +129,7 @@ class TestMemoKeyedOnAuxiliarySnapshot:
 class TestQuantifierMutateAndRestore:
     def test_caller_assignment_is_not_mutated(self):
         g = path_graph(4)
-        checker = ModelChecker(g)
+        checker = ModelChecker(g, backend="tuple")
         assignment = {"x": 0}
         sentence = exists("y", rel("E", "x", "y"))
         assert checker.evaluate(sentence, assignment)
@@ -127,7 +137,7 @@ class TestQuantifierMutateAndRestore:
 
     def test_shadowed_variable_is_restored(self):
         g = path_graph(4)
-        checker = ModelChecker(g)
+        checker = ModelChecker(g, backend="tuple")
         # The inner exists shadows x; after it finishes, the outer binding
         # of x must be back in force for the conjunct that follows.
         sentence = forall(
@@ -145,5 +155,5 @@ class TestQuantifierMutateAndRestore:
         has_successor = exists("y", rel("E", "x", "y"))
         at_least = count_at_least(4, "x", has_successor)
         beyond = count_at_least(5, "x", has_successor)
-        assert evaluate(at_least, g)
-        assert not evaluate(beyond, g)
+        assert evaluate(at_least, g, backend="tuple")
+        assert not evaluate(beyond, g, backend="tuple")

@@ -4,8 +4,9 @@ constrained-domain fusing, dead-column pruning, cost-based join reordering
 with semi/antijoin conversion, join/projection fusion, semi-naive delta
 rewriting (including every fallback condition), and common-subplan sharing
 — plus the execution counters, the ``Cumulative`` accumulator, the
-``--stats``/``--no-optimize``/``--explain`` CLI surface, and the Session
-facade's optimizer dispatch."""
+``--stats``/``--explain`` CLI surface, and the Session facade.  The raw
+compiled plan, the optimizer's differential oracle, is run directly:
+``compile_formula(formula, layout).execute(ExecutionContext(...))``."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.core.engine import Session
+from repro.logic.codegen import execute_columnar
 from repro.logic.compile import compile_formula
 from repro.logic.eval import ModelChecker, define_relation
 from repro.logic.formula import (
@@ -295,18 +297,21 @@ class TestDeltaRewriting:
         assert max(rounds) < accumulated       # ... not relation-bounded
 
     def test_delta_body_agrees_with_the_naive_oracle(self):
-        """The delta-rewritten fixed point (``optimize=True``) and the raw
-        plan's full-body rounds both match the tuple oracle under either
-        fixed-point strategy."""
+        """The delta-rewritten fixed point (the optimized plan) and the raw
+        plan's full-body rounds, each on both executors, match the tuple
+        oracle under either fixed-point strategy."""
         g = random_alternating_graph(5, seed=8)
         formula = apath_lfp(var("u"), var("v"))
+        raw = compile_formula(formula, ("u", "v"))
         results = {
-            define_relation(formula, g, ("u", "v"), backend=backend,
-                            optimize=optimize)
+            define_relation(formula, g, ("u", "v"), backend=backend)
             for backend in ("plan", "columnar")
-            for optimize in (True, False)
         } | {
-            define_relation(formula, g, ("u", "v"), seminaive=seminaive)
+            frozenset(raw.execute(ExecutionContext(g)).rows),
+            execute_columnar(raw, g),
+        } | {
+            define_relation(formula, g, ("u", "v"), seminaive=seminaive,
+                            backend="tuple")
             for seminaive in (True, False)
         }
         assert len(results) == 1
@@ -360,9 +365,10 @@ class TestCounters:
             formula = query.formula()
             on, off = PlanStats(), PlanStats()
             fast = define_relation(formula, g, query.variables,
-                                   backend="plan", optimize=True, stats=on)
-            slow = define_relation(formula, g, query.variables,
-                                   backend="plan", optimize=False, stats=off)
+                                   backend="plan", stats=on)
+            raw = compile_formula(formula, query.variables)
+            slow = frozenset(
+                raw.execute(ExecutionContext(g, stats=off)).rows)
             assert fast == slow, name
             assert on.rows_materialized <= off.rows_materialized, name
 
@@ -392,11 +398,6 @@ class TestCostModel:
 
 
 class TestSessionAndCLI:
-    def test_session_backends_dispatch_the_optimizer(self):
-        assert Session().logic_optimize
-        assert Session(backend="interp").logic_optimize
-        assert not Session(backend="reference").logic_optimize
-
     def test_session_define_relation_agrees_with_oracle(self):
         g = random_alternating_graph(6, seed=15)
         formula = apath_lfp(var("u"), var("v"))
@@ -417,14 +418,6 @@ class TestSessionAndCLI:
         assert "rows_materialized=" in output
         assert "fixpoint_rounds=" in output
 
-    def test_cli_no_optimize_flag(self, tmp_path, capsys):
-        path = self._write_structure(tmp_path)
-        assert cli_main(["logic", "tc", "--structure", str(path),
-                         "--no-optimize"]) == 0
-        output = capsys.readouterr().out
-        assert "plan, unoptimized" in output
-        assert "rows:        10" in output
-
     def test_cli_explain_shows_both_plans_with_estimates(self, tmp_path, capsys):
         path = self._write_structure(tmp_path)
         assert cli_main(["logic", "gap", "--structure", str(path),
@@ -435,13 +428,16 @@ class TestSessionAndCLI:
         assert "rows" in output                  # the ~N rows annotations
         assert "[delta]" in output               # the rewritten fixpoint
 
-    def test_cli_explain_raw_with_no_optimize(self, tmp_path, capsys):
+    def test_cli_explain_on_the_tuple_backend_shows_the_logical_plan(
+            self, tmp_path, capsys):
         path = self._write_structure(tmp_path)
         assert cli_main(["logic", "tc", "--structure", str(path),
-                         "--explain", "--no-optimize"]) == 0
+                         "--explain", "--backend", "tuple"]) == 0
         output = capsys.readouterr().out
         assert "plan:" in output
         assert "optimized plan:" not in output
+        assert "(tuple backend)" in output
+        assert "rows:        10" in output
 
 
 class TestExplainOptimized:

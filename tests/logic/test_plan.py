@@ -178,14 +178,18 @@ class TestPlanSemantics:
         with pytest.raises(KeyError):
             evaluate(rel("E", "x", "y"), path_graph(3), {"x": 0}, backend="plan")
 
-    def test_memoize_false_recomputes(self):
+    def test_memo_hit_agrees_with_per_row_recompute(self):
+        """A memoized plan checker answers every row from one execution;
+        a fresh tuple checker per row (the recompute-every-time oracle)
+        must agree on each."""
         g = random_graph(5, seed=2)
         formula = reachability_tc(var("u"), var("v"))
-        fast = ModelChecker(g, memoize=False, backend="plan")
-        slow = ModelChecker(g, memoize=True, backend="plan")
-        assignment = {"u": 0, "v": 4}
-        assert fast.evaluate(formula, assignment) == \
-            slow.evaluate(formula, assignment)
+        checker = ModelChecker(g, backend="plan")
+        for u in g.universe:
+            assignment = {"u": u, "v": 4}
+            assert checker.evaluate(formula, assignment) == \
+                evaluate(formula, g, assignment, backend="tuple")
+        assert len(checker._fixpoint_cache) == 1
 
     def test_unknown_backend_rejected(self):
         g = path_graph(2)
@@ -234,9 +238,9 @@ class TestCompilationErrors:
 
 
 class TestSessionFacade:
-    def test_production_backends_pick_the_planner(self):
-        assert Session().logic_backend == "plan"
-        assert Session(backend="interp").logic_backend == "plan"
+    def test_production_backends_pick_columnar(self):
+        assert Session().logic_backend == "columnar"
+        assert Session(backend="interp").logic_backend == "columnar"
         assert Session(backend="reference").logic_backend == "tuple"
 
     def test_session_define_relation_agrees_across_backends(self):

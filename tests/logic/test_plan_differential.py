@@ -17,8 +17,9 @@ them.  Two layers of evidence:
   quantifiers, TC, DTC, LFP with auxiliary references, and nesting of all
   of the above) — driving well over 100 ``(formula, structure)``
   instances run **four ways**: columnar (at dense width and again with
-  the wide arity-2 representation forced), optimizer-on plan,
-  optimizer-off plan, and the tuple oracle.  All four defined relations
+  the wide arity-2 representation forced), optimized plan, the raw
+  compiled plan run directly (:func:`_raw`, the optimizer's oracle), and
+  the tuple oracle.  All four defined relations
   must agree exactly, and the optimized execution must materialize no
   more rows than the raw plan (the optimizer's whole point, pinned as an
   invariant).  Governed (budget-limited) instances must, on every
@@ -38,8 +39,10 @@ import random
 import pytest
 
 from repro.logic import codegen
+from repro.logic.codegen import execute_columnar
+from repro.logic.compile import compile_formula
 from repro.logic.eval import ModelChecker, define_relation
-from repro.logic.plan import PlanStats
+from repro.logic.plan import ExecutionContext, PlanStats
 from repro.logic.formula import (
     And,
     CountAtLeast,
@@ -70,6 +73,20 @@ from repro.structures import random_alternating_graph
 FREE_VARIABLES = ("u", "v")
 
 
+def _raw(formula, structure, variables, stats=None, governor=None):
+    """The raw compiled plan — the optimizer's differential oracle — run
+    once on the plan interpreter, with no ladder underneath."""
+    plan = compile_formula(formula, tuple(variables))
+    return frozenset(plan.execute(ExecutionContext(
+        structure, {}, stats=stats, governor=governor)).rows)
+
+
+def _raw_columnar(formula, structure, variables, governor=None):
+    """The raw compiled plan run once on the columnar walker."""
+    return execute_columnar(compile_formula(formula, tuple(variables)),
+                            structure, governor=governor)
+
+
 # ------------------------------------------------- canonical query suite
 
 
@@ -81,12 +98,10 @@ def test_canonical_queries_agree(name, size, seed):
     formula = query.formula()
     events = []
     columnar = define_relation(formula, structure, query.variables,
-                               backend="columnar", optimize=True,
                                degradations=events)
     optimized = define_relation(formula, structure, query.variables,
-                                backend="plan", optimize=True)
-    raw = define_relation(formula, structure, query.variables,
-                          backend="plan", optimize=False)
+                                backend="plan")
+    raw = _raw(formula, structure, query.variables)
     slow = define_relation(formula, structure, query.variables,
                            backend="tuple")
     assert columnar == optimized == raw == slow
@@ -216,13 +231,10 @@ def test_generated_formulas_agree(size, seed, width, monkeypatch):
     formula = generator.formula(depth=3, scope=FREE_VARIABLES)
     structure = random_alternating_graph(size, seed=seed)
     optimized_stats, raw_stats = PlanStats(), PlanStats()
-    columnar = define_relation(formula, structure, FREE_VARIABLES,
-                               backend="columnar", optimize=True)
+    columnar = define_relation(formula, structure, FREE_VARIABLES)
     optimized = define_relation(formula, structure, FREE_VARIABLES,
-                                backend="plan", optimize=True,
-                                stats=optimized_stats)
-    raw = define_relation(formula, structure, FREE_VARIABLES,
-                          backend="plan", optimize=False, stats=raw_stats)
+                                backend="plan", stats=optimized_stats)
+    raw = _raw(formula, structure, FREE_VARIABLES, stats=raw_stats)
     slow = define_relation(formula, structure, FREE_VARIABLES, backend="tuple")
     assert columnar == optimized == raw == slow, \
         f"backend divergence on seed={seed}:\n{formula}"
@@ -240,13 +252,14 @@ def test_generated_formulas_agree_under_naive_kernels(seed):
     formula = generator.formula(depth=3, scope=FREE_VARIABLES)
     structure = random_alternating_graph(4, seed=seed)
     results = {
-        define_relation(formula, structure, FREE_VARIABLES,
-                        backend=backend, optimize=optimize)
+        define_relation(formula, structure, FREE_VARIABLES, backend=backend)
         for backend in ("plan", "columnar")
-        for optimize in (True, False)
+    } | {
+        _raw(formula, structure, FREE_VARIABLES),
+        _raw_columnar(formula, structure, FREE_VARIABLES),
     } | {
         define_relation(formula, structure, FREE_VARIABLES,
-                        seminaive=seminaive)
+                        seminaive=seminaive, backend="tuple")
         for seminaive in (True, False)
     }
     assert len(results) == 1
@@ -289,9 +302,8 @@ def test_arity_three_fixpoints_fall_back_to_tuple_representation(seed):
     columnar = define_relation(formula, structure, FREE_VARIABLES,
                                backend="columnar")
     optimized = define_relation(formula, structure, FREE_VARIABLES,
-                                backend="plan", optimize=True)
-    raw = define_relation(formula, structure, FREE_VARIABLES,
-                          backend="plan", optimize=False)
+                                backend="plan")
+    raw = _raw(formula, structure, FREE_VARIABLES)
     slow = define_relation(formula, structure, FREE_VARIABLES, backend="tuple")
     assert columnar == optimized == raw == slow
 
@@ -310,14 +322,19 @@ def test_governed_runs_agree_or_fail_cleanly(seed, max_rows):
     structure = random_alternating_graph(4, seed=seed)
     oracle = define_relation(formula, structure, FREE_VARIABLES,
                              backend="tuple")
-    for backend in ("columnar", "plan", "tuple"):
-        for optimize in (True, False):
-            try:
-                got = define_relation(
-                    formula, structure, FREE_VARIABLES, backend=backend,
-                    optimize=optimize,
-                    budget=Budget(max_rows_materialized=max_rows))
-            except ResourceLimitExceeded:
-                continue
-            assert got == oracle, \
-                f"governed {backend} diverged on seed={seed}:\n{formula}"
+    runs = {
+        backend: lambda budget, backend=backend: define_relation(
+            formula, structure, FREE_VARIABLES, backend=backend,
+            budget=budget)
+        for backend in ("columnar", "plan", "tuple")}
+    runs["raw"] = lambda budget: _raw(
+        formula, structure, FREE_VARIABLES, governor=budget.start())
+    runs["raw-columnar"] = lambda budget: _raw_columnar(
+        formula, structure, FREE_VARIABLES, governor=budget.start())
+    for backend, run in runs.items():
+        try:
+            got = run(Budget(max_rows_materialized=max_rows))
+        except ResourceLimitExceeded:
+            continue
+        assert got == oracle, \
+            f"governed {backend} diverged on seed={seed}:\n{formula}"

@@ -11,13 +11,15 @@ baselines.
 ``seminaive=False`` routes the identical computation through the naive
 kernels (the strategy the ``reference`` backend keeps), so any divergence
 is a bug in the delta propagation itself, not in workload construction.
+Both legs run on the tuple oracle (``backend="tuple"``), the one logic
+backend with a naive strategy.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.logic.eval import ModelChecker, define_relation
+from repro.logic.eval import ModelChecker, define_relation, evaluate
 from repro.logic.formula import (
     DTCAtom,
     LFPAtom,
@@ -82,8 +84,10 @@ def _lfp_alternating() -> LFPAtom:
 def test_tc_instances_agree(size, seed):
     graph = random_graph(size, edge_probability=0.3, seed=seed)
     formula = _tc_formula()
-    fast = define_relation(formula, graph, ("u", "v"), seminaive=True)
-    slow = define_relation(formula, graph, ("u", "v"), seminaive=False)
+    fast = define_relation(formula, graph, ("u", "v"), seminaive=True,
+                           backend="tuple")
+    slow = define_relation(formula, graph, ("u", "v"), seminaive=False,
+                           backend="tuple")
     assert fast == slow
     assert fast == transitive_closure_baseline(graph)
 
@@ -92,8 +96,10 @@ def test_tc_instances_agree(size, seed):
 def test_dtc_instances_agree(size, seed):
     graph = random_graph(size, edge_probability=0.3, seed=seed)
     formula = _dtc_formula()
-    fast = define_relation(formula, graph, ("u", "v"), seminaive=True)
-    slow = define_relation(formula, graph, ("u", "v"), seminaive=False)
+    fast = define_relation(formula, graph, ("u", "v"), seminaive=True,
+                           backend="tuple")
+    slow = define_relation(formula, graph, ("u", "v"), seminaive=False,
+                           backend="tuple")
     assert fast == slow
     assert fast == transitive_closure_baseline(graph, deterministic=True)
 
@@ -102,8 +108,10 @@ def test_dtc_instances_agree(size, seed):
 def test_lfp_instances_agree(size, seed):
     graph = random_graph(size, edge_probability=0.3, seed=seed)
     formula = _lfp_reachability()
-    fast = define_relation(formula, graph, ("u", "v"), seminaive=True)
-    slow = define_relation(formula, graph, ("u", "v"), seminaive=False)
+    fast = define_relation(formula, graph, ("u", "v"), seminaive=True,
+                           backend="tuple")
+    slow = define_relation(formula, graph, ("u", "v"), seminaive=False,
+                           backend="tuple")
     assert fast == slow
     # The reachability LFP *is* the reflexive transitive closure.
     assert fast == transitive_closure_baseline(graph)
@@ -113,8 +121,10 @@ def test_lfp_instances_agree(size, seed):
 def test_dtc_on_functional_graphs_agrees(seed):
     graph = functional_graph(7, seed=seed)
     formula = _dtc_formula()
-    fast = define_relation(formula, graph, ("u", "v"), seminaive=True)
-    slow = define_relation(formula, graph, ("u", "v"), seminaive=False)
+    fast = define_relation(formula, graph, ("u", "v"), seminaive=True,
+                           backend="tuple")
+    slow = define_relation(formula, graph, ("u", "v"), seminaive=False,
+                           backend="tuple")
     assert fast == slow == transitive_closure_baseline(graph, deterministic=True)
 
 
@@ -122,8 +132,10 @@ def test_dtc_on_functional_graphs_agrees(seed):
 def test_lfp_alternating_body_agrees(seed):
     graph = layered_graph(3, 2, seed=seed)
     formula = _lfp_alternating()
-    fast = define_relation(formula, graph, ("u", "v"), seminaive=True)
-    slow = define_relation(formula, graph, ("u", "v"), seminaive=False)
+    fast = define_relation(formula, graph, ("u", "v"), seminaive=True,
+                           backend="tuple")
+    slow = define_relation(formula, graph, ("u", "v"), seminaive=False,
+                           backend="tuple")
     assert fast == slow
 
 
@@ -167,16 +179,23 @@ class TestCheckerStrategyFlag:
         graph = random_graph(6, edge_probability=0.25, seed=9)
         formula = _lfp_reachability()
         for assignment in ({"u": 0, "v": 5}, {"u": 2, "v": 2}, {"u": 5, "v": 0}):
-            fast = ModelChecker(graph, seminaive=True).evaluate(formula, assignment)
-            slow = ModelChecker(graph, seminaive=False).evaluate(formula, assignment)
+            fast = ModelChecker(graph, seminaive=True,
+                                backend="tuple").evaluate(formula, assignment)
+            slow = ModelChecker(graph, seminaive=False,
+                                backend="tuple").evaluate(formula, assignment)
             assert fast == slow
 
-    def test_memoize_and_seminaive_compose(self):
+    def test_per_row_recompute_and_seminaive_compose(self):
+        """Both strategies agree with the recompute-every-time oracle: a
+        fresh tuple checker per row, so no closure is shared between rows."""
         graph = random_graph(5, edge_probability=0.3, seed=1)
         formula = _tc_formula()
         results = {
-            (memoize, seminaive): define_relation(
-                formula, graph, ("u", "v"), memoize=memoize, seminaive=seminaive)
-            for memoize in (True, False) for seminaive in (True, False)
+            define_relation(formula, graph, ("u", "v"), seminaive=seminaive,
+                            backend="tuple")
+            for seminaive in (True, False)
         }
-        assert len(set(results.values())) == 1
+        recomputed = frozenset(
+            (u, v) for u in graph.universe for v in graph.universe
+            if evaluate(formula, graph, {"u": u, "v": v}, backend="tuple"))
+        assert results == {recomputed}
