@@ -127,10 +127,12 @@ class DegradationEvent:
     """A record of one rung down the degradation ladder.
 
     ``stage`` names where the failure happened (``"optimize"``,
-    ``"plan"``, ``"memo"``); ``fallback`` what the engine did instead
-    (``"raw-plan"``, ``"tuple"``, ``"no-memo"``); ``error`` the repr of
-    the exception that triggered it.  Sessions collect these instead of
-    failing the query.
+    ``"plan"``, ``"memo"``, ``"ivm"``, ``"service.columnar"``, or
+    ``"representation"`` for a columnar node held as tuples); ``fallback``
+    what the engine did instead (``"raw-plan"``, ``"plan"``, ``"tuple"``,
+    ``"no-memo"``, ``"recompute"``); ``error`` the repr of the exception
+    that triggered it.  Sessions collect these instead of failing the
+    query.
     """
 
     stage: str

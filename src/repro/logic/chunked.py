@@ -16,11 +16,10 @@ same at every width):
 Every primitive accepts either form.  The single-source ``Select``-over-
 ``Closure`` rewrite (a pinned endpoint turns the full closure into one
 BFS) and ``Closure`` itself (the SCC condensation kernel) keep memory
-O(edges + output).  Shapes with no O(edges) evaluation — ``universe**k``
-products for k ≥ 2, ``k >= 2`` closures, unknown node types — raise
-:class:`ChunkedUnsupported`, which the evaluation ladder absorbs as a
-``DegradationEvent("columnar", "plan", ...)``: correctness never depends
-on this module, only speed and memory do.
+O(edges + output).  ``Domain²`` is one shared immutable row per source
+(:meth:`_Wide.full2`), so it holds O(n) words; ``Closure`` over k-tuples
+with k ≥ 2 and unknown node types run as islands, exactly as at dense
+width.  The walker refuses no plan at either width.
 
 Accounting is the walker's, the same at both widths: every materialized
 node notes its rows (``Governor.note_rows`` + ``PlanStats``) and its
@@ -48,12 +47,7 @@ from repro.core.columnar import (
 from .codegen import _Columns, _run
 from .plan import Plan, PlanStats
 
-__all__ = ["ChunkedUnsupported", "execute_chunked"]
-
-
-class ChunkedUnsupported(ValueError):
-    """A plan shape the wide representation does not cover (the ladder
-    degrades to the set-at-a-time plan backend on catching this)."""
+__all__ = ["execute_chunked"]
 
 
 def _bits_of(members, n: int) -> int:
@@ -78,9 +72,6 @@ def _within(members, mask: int):
 
 class _Wide(_Columns):
     """Arity 2 past the dense width: CSR pairs and sparse dicts."""
-
-    def unsupported(self, what: str) -> None:
-        raise ChunkedUnsupported(f"chunked executor does not cover {what}")
 
     # ------------------------------------------------------------ forms
 
@@ -125,6 +116,11 @@ class _Wide(_Columns):
     @staticmethod
     def empty2() -> dict:
         return {}
+
+    def full2(self) -> dict:
+        """``Domain²``: every source shares one frozen row, so an in-place
+        merge into it fails loudly instead of corrupting the others."""
+        return dict.fromkeys(range(self.n), frozenset(range(self.n)))
 
     @staticmethod
     def count2(raw) -> int:
@@ -270,9 +266,7 @@ def execute_chunked(plan: Plan, structure, auxiliary=None,
     """Walk ``plan`` on the wide representation and decode to rows.
 
     The entry :func:`~repro.logic.codegen.execute_columnar` routes here
-    when ``structure.size`` is past the dense width threshold.  Raises
-    :class:`ChunkedUnsupported` on plan shapes outside the coverage; the
-    evaluation ladder turns that into a degradation event.
+    when ``structure.size`` is past the dense width threshold.
     """
     return _run(_Wide(structure.size), plan, structure, auxiliary, stats,
                 governor)

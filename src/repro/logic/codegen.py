@@ -49,13 +49,12 @@ and binds its kernels to it, so threads running one compiled plan at
 once share nothing mutable.
 
 Nodes with no columnar kernel (``Closure`` over k-tuples with k ≥ 2, and
-any node type the walker does not know) run at dense width as *islands*:
+any node type the walker does not know) run as *islands* at both widths:
 the fixed-point scope is decoded to row sets, the node runs through its
 own :meth:`~repro.logic.plan.Plan.execute` (which does its own stats and
-governor accounting), and the result is re-encoded.  At wide width those
-shapes raise :class:`~repro.logic.chunked.ChunkedUnsupported` instead,
-which the evaluation ladder records as ``DegradationEvent("columnar",
-"plan")``.
+governor accounting), and the result is re-encoded.  The walker refuses
+no plan; the governor's row and byte budgets are its memory guard at
+every width.
 
 Governor choke points mirror the interpreted plan executor's: every
 materializing kernel notes its rows (and, for arity 2, its structural
@@ -129,7 +128,6 @@ from .plan import (
 )
 
 __all__ = [
-    "MAX_COLUMNAR_UNIVERSE",
     "CompiledColumnarPlan",
     "compile_columnar",
     "compiled_columnar",
@@ -137,28 +135,7 @@ __all__ = [
     "execute_columnar",
     "last_report",
     "representation_of",
-    "set_max_columnar_universe",
 ]
-
-
-#: Largest universe any columnar backend is built for.  Up to
-#: :data:`~repro.core.columnar.DENSE_WIDTH_THRESHOLD` the walker runs on
-#: dense giant-int payloads; past it on CSR payloads that stay O(edges), so
-#: the cap can sit far higher than the dense width ever could.  The gate
-#: refuses universes past this so the caller's ladder falls back to the set
-#: backend.  Change it with :func:`set_max_columnar_universe`.
-MAX_COLUMNAR_UNIVERSE = 1 << 22
-
-
-def set_max_columnar_universe(value: int) -> int:
-    """Set the columnar universe cap, returning the previous value (tests
-    and embedders use this to shrink or widen the gate at run time)."""
-    global MAX_COLUMNAR_UNIVERSE
-    if value < 0:
-        raise ValueError(f"columnar universe cap must be >= 0, got {value!r}")
-    previous = MAX_COLUMNAR_UNIVERSE
-    MAX_COLUMNAR_UNIVERSE = value
-    return previous
 
 
 _KIND = {"0": "unit", "b": "bitset", "r": "csr", "t": "tuples"}
@@ -202,10 +179,6 @@ class _Columns:
     def __init__(self, n: int):
         self.n = n
         self.full = (1 << n) - 1
-
-    def unsupported(self, what: str) -> None:
-        """Called before building a shape this width may refuse; dense
-        width refuses nothing."""
 
     def decode(self, raw, arity: int) -> set:
         if arity == 0:
@@ -967,7 +940,6 @@ def _eval_domain(w: _Walker, node: DomainProduct):
     elif k == 1:
         raw = w.cols.full
     else:
-        w.cols.unsupported(f"Domain^{k} over {n} elements")
         raw = w.cols.full2() if k == 2 \
             else set(_cartesian(range(n), repeat=k))
     return w.note(raw, k)
@@ -990,8 +962,6 @@ def _eval_constrained_domain(w: _Walker, node: ConstrainedDomain):
         if not pinned:
             bound *= n
     w.check_ahead(bound)
-    if bound > max(n, 1) * 64:
-        w.cols.unsupported(f"constrained domain bound {bound} over {n}")
     rows = node._run(ExecutionContext(w.structure)).rows
     return w.note(w.cols.encode(rows, len(node.columns)), len(node.columns))
 
@@ -1194,9 +1164,8 @@ def _eval_fixpoint(w: _Walker, node: Fixpoint):
 
 def _eval_island(w: _Walker, node: Plan):
     """Execute ``node`` through the interpreted plan executor, bridging the
-    fixed-point scope both ways (dense width only).  The island does its
-    own stats and governor accounting, so no note here."""
-    w.cols.unsupported(node.label())
+    fixed-point scope both ways.  The island does its own stats and
+    governor accounting, so no note here."""
     cols = w.cols
     aux, delta = dict(w.aux), {}
     for name, (total, frontier, arity) in w.scope.items():
@@ -1359,20 +1328,15 @@ def execute_columnar(plan: Plan, structure, auxiliary=None,
                      degradations: list | None = None) -> frozenset:
     """Run ``plan`` columnar; the one-call entry the evaluation ladder uses.
 
-    The cost gate refuses universes past :data:`MAX_COLUMNAR_UNIVERSE`.
     Up to :data:`~repro.core.columnar.DENSE_WIDTH_THRESHOLD` the plan runs
-    on the cached dense specialization; between the threshold and the cap
-    it runs through :func:`~repro.logic.chunked.execute_chunked` (CSR
-    payloads, O(edges) memory).  At dense width every node that fell back
+    on the cached dense specialization; past it it runs through
+    :func:`~repro.logic.chunked.execute_chunked` (CSR payloads, O(edges)
+    memory).  At dense width every node that fell back
     to the tuple representation is surfaced as a
     ``DegradationEvent("representation", "tuple", ...)`` when the caller
     passes a ``degradations`` list.
     """
     global _LAST_REPORT
-    if structure.size > MAX_COLUMNAR_UNIVERSE:
-        raise ValueError(
-            f"universe of {structure.size} exceeds the columnar limit "
-            f"{MAX_COLUMNAR_UNIVERSE}")
     if structure.size > DENSE_WIDTH_THRESHOLD:
         from .chunked import execute_chunked
 

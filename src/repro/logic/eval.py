@@ -92,10 +92,10 @@ __all__ = ["LOGIC_BACKENDS", "ModelChecker", "evaluate", "define_relation"]
 #: The logic layer's interchangeable evaluation strategies: ``columnar``
 #: (the default everywhere) compiles formulas to optimized set-at-a-time
 #: relational-algebra plans (:mod:`repro.logic.compile`) and runs each on
-#: the columnar walker over bitset/CSR kernels (:mod:`repro.logic.codegen`);
-#: ``plan`` runs the same plans on the plan interpreter, the rung
-#: ``columnar`` falls back to on any columnar-side failure; ``tuple`` is
-#: the tuple-at-a-time enumeration below, kept as the differential oracle.
+#: the columnar walker over bitset/CSR kernels (:mod:`repro.logic.codegen`),
+#: which covers every plan at every width; ``plan`` runs the same plans on
+#: the plan interpreter, the service breaker's fallback; ``tuple`` is the
+#: tuple-at-a-time enumeration below, kept as the differential oracle.
 LOGIC_BACKENDS = ("plan", "columnar", "tuple")
 
 #: Sentinel distinguishing "variable was unbound" from "bound to 0".
@@ -128,10 +128,11 @@ class ModelChecker:
     (:mod:`repro.logic.compile`), optimizes it and runs it on the
     columnar walker over bitset/CSR kernels (:mod:`repro.logic.codegen`),
     answering every assignment with a row lookup; ``"plan"`` runs the
-    same optimized plan on the plan interpreter, the rung ``columnar``
-    degrades to on any columnar-side failure; ``"tuple"`` is the
-    recursive enumeration this class has always implemented, kept as the
-    differential oracle (and the bottom rung of the ladder).
+    same optimized plan on the plan interpreter (the service breaker's
+    fallback), with the raw plan and then the tuple oracle below it;
+    ``"tuple"`` is the recursive enumeration this class has always
+    implemented, kept as the differential oracle (and the bottom rung of
+    the plan backend's ladder).
 
     Every plan goes through the :mod:`repro.logic.optimize` rewrite
     pipeline — selection pushdown, dead-column pruning, cost-based join
@@ -477,23 +478,23 @@ class ModelChecker:
                    ) -> tuple[tuple[str, ...], frozenset]:
         """Execute ``formula`` set-at-a-time down the degradation ladder.
 
-        Rung zero (``columnar`` backend only): run the best available plan
-        (optimized, else raw) on the columnar walker; any failure — an
-        unsupported shape, a universe past the columnar cost gate, an
-        injected fault — records a
-        :class:`DegradationEvent("columnar", "plan")` and drops to the
-        interpreted rungs.  Rung one: the optimized plan.  Any failure
-        *optimizing* — a rewrite crash, an injected fault, or a budget blown
-        mid-pipeline — records a :class:`DegradationEvent` and falls back to
-        the raw compiled plan rather than failing the query.  Rung two: the
-        raw plan; an internal failure *executing* either plan (but never a
-        :class:`ResourceLimitExceeded`, which is the budget working as
-        intended and always propagates) records an event and drops one rung
-        further.  Below the raw plan lies the tuple oracle, signalled to the
-        caller via :class:`_TupleFallback` (the oracle is the caller's row
-        enumeration or recursive evaluation).
+        Any failure *optimizing* — a rewrite crash, an injected fault, or a
+        budget blown mid-pipeline — records a
+        :class:`DegradationEvent("optimize", "raw-plan")` and goes on with
+        the raw compiled plan rather than failing the query.
 
-        Returns ``(columns, rows)`` of whichever plan rung answered.  Each
+        The ``columnar`` backend runs that plan on the columnar walker,
+        which covers every plan at every width, and has no further rung.
+        The ``plan`` backend (the service breaker's fallback and the chaos
+        sweep's oracle) runs the optimized plan on the plan interpreter,
+        then the raw plan: an internal failure *executing* either (but
+        never a :class:`ResourceLimitExceeded`, which is the budget working
+        as intended and always propagates) records an event and drops one
+        rung further.  Below the raw plan lies the tuple oracle, signalled
+        to the caller via :class:`_TupleFallback` (the oracle is the
+        caller's row enumeration or recursive evaluation).
+
+        Returns ``(columns, rows)`` of whichever rung answered.  Each
         interpreted rung runs under a fresh execution context, so a failed
         rung cannot leak partial round state into the next.
         """
@@ -511,21 +512,12 @@ class ModelChecker:
         except Exception as error:
             degradations.append(
                 DegradationEvent("optimize", "raw-plan", repr(error)))
-        raw = None
         if self.backend == "columnar":
-            target = plan
-            if target is None:
-                raw = target = compile_formula(formula, layout)
-            try:
-                return target.columns, execute_columnar(
-                    target, self.structure, auxiliary=dict(self.auxiliary),
-                    stats=self.plan_stats, governor=governor,
-                    degradations=degradations)
-            except ResourceLimitExceeded:
-                raise
-            except Exception as error:
-                degradations.append(
-                    DegradationEvent("columnar", "plan", repr(error)))
+            target = plan or compile_formula(formula, layout)
+            return target.columns, execute_columnar(
+                target, self.structure, auxiliary=dict(self.auxiliary),
+                stats=self.plan_stats, governor=governor,
+                degradations=degradations)
         if plan is not None:
             try:
                 return plan.columns, frozenset(plan.execute(context()).rows)
@@ -534,8 +526,7 @@ class ModelChecker:
             except Exception as error:
                 degradations.append(
                     DegradationEvent("plan", "raw-plan", repr(error)))
-        if raw is None:
-            raw = compile_formula(formula, layout)
+        raw = compile_formula(formula, layout)
         try:
             return raw.columns, frozenset(raw.execute(context()).rows)
         except ResourceLimitExceeded:

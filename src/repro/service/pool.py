@@ -388,6 +388,7 @@ class WorkerPool:
                     if self._acquire_queue[0] is ticket:
                         for handle in self._workers:
                             if not handle.alive:
+                                self._bury_idle(handle)
                                 continue
                             if handle.lease.acquire(blocking=False):
                                 if handle.alive:
@@ -442,40 +443,51 @@ class WorkerPool:
                 return False
             return True
 
+    def _bury_idle(self, handle: WorkerHandle) -> None:
+        """Account a worker that died while *idle* (e.g. a stray OOM kill
+        between requests), tear the corpse down and queue a respawn —
+        where dispatch first sees it, or at the supervisor's sweep,
+        whichever comes first.  A leased handle is left to its holder
+        (the request path accounts that death), and a corpse already torn
+        down has no ``proc``, so no death is counted twice.  Caller holds
+        ``_lock``, which is always taken before ``_respawn_wakeup``."""
+        if handle.proc is None or not handle.lease.acquire(blocking=False):
+            return
+        try:
+            if handle.proc is not None and handle.proc.poll() is not None:
+                self.stats["worker_deaths"] += 1
+                handle.deaths += 1
+                handle.last_death = time.monotonic()
+                handle.kill()
+                with self._respawn_wakeup:
+                    self._respawn_queue.append(handle)
+                    self._respawn_wakeup.notify()
+        finally:
+            handle.lease.release()
+
     def _reap_idle_deaths(self) -> None:
-        """Sweep for workers that died while *idle* (e.g. a stray OOM kill
-        between requests).  Dispatch never touches a dead handle, so such
-        a corpse would otherwise sit unrespawned forever — and readiness
-        would never recover.  Caller holds ``_respawn_wakeup``."""
+        """Sweep for workers that died idle and that no dispatch has seen
+        yet.  Without it such a corpse would sit unrespawned while no
+        request comes — and readiness would never recover."""
         if self._draining:
             return
-        for handle in self._workers:
-            proc = handle.proc
-            if proc is None or proc.poll() is None:
-                continue
-            if not handle.lease.acquire(blocking=False):
-                continue  # in use: the request path accounts this death
-            try:
-                if handle.proc is not None and \
-                        handle.proc.poll() is not None:
-                    self._count("worker_deaths")
-                    handle.deaths += 1
-                    handle.last_death = time.monotonic()
-                    handle.kill()
-                    self._respawn_queue.append(handle)
-            finally:
-                handle.lease.release()
+        with self._lock:
+            for handle in self._workers:
+                if not handle.alive:
+                    self._bury_idle(handle)
 
     def _supervise(self) -> None:
         """The supervisor thread: respawn queued corpses with exponential
         backoff, reset backoff on calm."""
         while True:
+            self._reap_idle_deaths()
             with self._respawn_wakeup:
-                while not self._respawn_queue and not self._draining:
+                if not self._respawn_queue and not self._draining:
                     self._respawn_wakeup.wait(timeout=0.2)
-                    self._reap_idle_deaths()
                 if self._draining:
                     return
+                if not self._respawn_queue:
+                    continue
                 handle = self._respawn_queue.pop(0)
             delay = min(
                 self.config.backoff_cap_seconds,

@@ -1,11 +1,12 @@
 """Deterministic fault injection for the engine stack.
 
 The engine's degradation ladder (optimized plan -> raw plan -> tuple
-oracle) and its restore-on-exception guarantees are only trustworthy if
-they are *exercised*.  This module plants named injection points at the
-seams where real failures happen, and lets a seeded
-:class:`ChaosPolicy` make each of them raise, delay, or hand back
-corrupt-on-purpose data:
+oracle on the ``plan`` backend; optimized plan -> raw plan, both on the
+columnar walker, on the ``columnar`` backend) and its restore-on-exception
+guarantees are only trustworthy if they are *exercised*.  This module
+plants named injection points at the seams where real failures happen,
+and lets a seeded :class:`ChaosPolicy` make each of them raise, delay, or
+hand back corrupt-on-purpose data:
 
 ==========================  ================================================
 injection point             where it fires

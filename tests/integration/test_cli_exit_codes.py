@@ -154,18 +154,16 @@ class TestSnapshotSubcommand:
         assert main(["snapshot", "info", str(bad)]) == EXIT_INPUT
         assert main(["logic", "tc", "--structure", str(bad)]) == EXIT_INPUT
 
-    def test_degradation_prints_a_notice(self, tmp_path, graph_json, capsys):
-        from repro.logic.codegen import set_max_columnar_universe
+    def test_degradation_prints_a_notice(self, tmp_path, graph_json, capsys,
+                                         inject_faults):
+        from repro.testing.chaos import Fault
 
-        previous = set_max_columnar_universe(2)
-        try:
-            assert main(["logic", "reach", "--structure", str(graph_json),
-                         "--backend", "columnar", "--stats"]) == 0
-        finally:
-            set_max_columnar_universe(previous)
+        inject_faults(Fault("optimize.pass.reorder"))
+        assert main(["logic", "reach", "--structure", str(graph_json),
+                     "--backend", "columnar", "--stats"]) == 0
         captured = capsys.readouterr()
-        assert "degraded mid-run (columnar->plan)" in captured.err
-        assert "degraded:    columnar -> plan" in captured.out
+        assert "degraded mid-run (optimize->raw-plan)" in captured.err
+        assert "degraded:    optimize -> raw-plan" in captured.out
         assert "peak_rows_resident" in captured.out
 
     def test_max_bytes_is_a_resource_error(self, tmp_path, capsys):

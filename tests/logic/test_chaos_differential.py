@@ -2,9 +2,12 @@
 
 Under every injected fault — a raise, a delay, or corrupt-on-purpose
 data at any registered injection point — the engine must either return
-the **correct** answer (via the degradation ladder: optimized plan ->
-raw plan -> tuple oracle) or raise a clean typed error.  Never a wrong
-answer; never a corrupted index or session.
+the **correct** answer (via the degradation ladder) or raise a clean
+typed error.  Never a wrong answer; never a corrupted index or session.
+The ``plan`` backend's ladder is optimized plan -> raw plan -> tuple
+oracle.  The ``columnar`` backend has one rung: a fault optimizing sends
+the raw plan to the same columnar walker, which covers every plan and
+never hands the query to the plan interpreter.
 
 The tier-1 tests sweep every point x action over canonical queries; the
 ``slow``-marked sweep (the nightly chaos job) crosses the full registry
@@ -59,8 +62,9 @@ def test_single_fault_never_changes_the_answer(point, action, backend,
 def test_persistent_fault_never_changes_the_answer(point, action, backend,
                                                    inject_faults):
     """A fault that fires on *every* pass through its site (a hard-down
-    component).  The ladder must still bottom out on the tuple oracle —
-    which shares none of the plan backend's injection points — and agree."""
+    component).  The plan backend's ladder must still bottom out on the
+    tuple oracle — which shares none of the plan backend's injection
+    points — and the columnar walker on the raw plan, and agree."""
     structure = random_alternating_graph(5, seed=4)
     for name in CHAOS_QUERIES:
         query = CANONICAL_QUERIES[name]

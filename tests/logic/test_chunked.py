@@ -1,6 +1,6 @@
 """The columnar executor past the dense width: the four-way differential,
-counter parity across widths, budget enforcement, and the degradation
-contract (P9 acceptance).
+counter parity across widths, budget enforcement, and totality — every
+canonical query runs on the walker at both widths (P9 acceptance).
 
 The dense arity-2 representation is only used up to
 ``DENSE_WIDTH_THRESHOLD``; these tests monkeypatch the threshold the
@@ -17,15 +17,11 @@ import pytest
 from repro.core.errors import MemoryLimitExceeded, ResourceLimitExceeded
 from repro.core.governor import Budget
 from repro.logic import codegen
-from repro.logic.chunked import ChunkedUnsupported, execute_chunked
-from repro.logic.codegen import (
-    execute_columnar,
-    last_report,
-    set_max_columnar_universe,
-)
+from repro.logic.codegen import execute_columnar, last_report
 from repro.logic.compile import compile_formula
 from repro.logic.eval import define_relation
-from repro.logic.plan import DomainProduct, ExecutionContext, PlanStats
+from repro.logic.formula import TCAtom, and_, rel, var
+from repro.logic.plan import ExecutionContext, PlanStats
 from repro.logic.queries import CANONICAL_QUERIES
 from repro.structures import (
     load_structure,
@@ -35,9 +31,9 @@ from repro.structures import (
 from repro.structures.graphs import random_graph
 from repro.structures.zoo import clustered_graph, grid_graph, layered_dag
 
-#: Queries whose chunked evaluation needs no Domain**2 materialization —
-#: the production big-n set the interpreter must cover natively.
-COVERED = ("tc", "dtc", "reach", "dreach", "count-reach", "half-out", "gap")
+#: The walker covers every canonical query at wide width, the Domain**2
+#: complements of apath, agap and non-reach included.
+COVERED = tuple(CANONICAL_QUERIES)
 
 
 @pytest.fixture
@@ -45,6 +41,14 @@ def chunk_everything(monkeypatch):
     """Route every columnar execution through the wide representation
     (codegen imported the threshold by value, so patch its copy)."""
     monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
+
+
+def _graph(name, seed):
+    """A random 7-vertex graph; apath and agap also read the universal
+    vertices ``A`` of an alternating graph."""
+    if name in ("apath", "agap"):
+        return random_alternating_graph(7, edge_probability=0.3, seed=seed)
+    return random_graph(7, edge_probability=0.3, seed=seed)
 
 
 def _relation(query, structure, backend, **kwargs):
@@ -61,7 +65,7 @@ def test_four_way_differential(chunk_everything, tmp_path, name, seed):
     """columnar(chunked) == optimized plan == raw plan == tuple oracle,
     evaluated over a snapshot round-tripped structure."""
     query = CANONICAL_QUERIES[name]
-    original = random_graph(7, edge_probability=0.3, seed=seed)
+    original = _graph(name, seed)
     save_snapshot(original, tmp_path / "g.snap")
     structure = load_structure(tmp_path / "g.snap")
     degradations: list = []
@@ -99,23 +103,20 @@ def test_chunked_backend_reported(chunk_everything):
 
 
 @pytest.mark.parametrize("wide", [False, True])
-@pytest.mark.parametrize("name", COVERED + ("non-reach",))
+@pytest.mark.parametrize("name", COVERED)
 def test_both_widths_agree(monkeypatch, name, wide):
-    """Every covered query is exact at both widths without degrading;
-    non-reach's universe**2 complement is exact at wide width too, but
-    only through the recorded columnar -> plan degradation."""
+    """Every canonical query is exact at both widths and never leaves the
+    columnar walker."""
     if wide:
         monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
     query = CANONICAL_QUERIES[name]
-    structure = random_graph(7, edge_probability=0.3, seed=2)
+    structure = _graph(name, 2)
     degradations: list = []
     result = _relation(query, structure, "columnar",
                        degradations=degradations)
     assert result == _relation(query, structure, "tuple")
-    columnar = [(event.stage, event.fallback) for event in degradations
-                if event.stage == "columnar"]
-    assert columnar == ([("columnar", "plan")]
-                        if wide and name == "non-reach" else [])
+    assert not [event for event in degradations
+                if event.stage == "columnar"], name
 
 
 # ------------------------------------------------------- budgets and stats
@@ -123,11 +124,9 @@ def test_both_widths_agree(monkeypatch, name, wide):
 
 @pytest.mark.parametrize("name", ("tc", "reach", "apath"))
 def test_counters_mean_the_same_at_both_widths(monkeypatch, name):
-    """One executor, one accounting: both widths report materialized
-    rows, a resident working set and resident bytes, and the same number
-    of fixpoint rounds.  (apath's complement refuses the wide
-    representation, so its wide run finishes on the plan backend, whose
-    round count must agree as well.)"""
+    """One executor, one accounting: both widths run on the walker
+    without degrading and report materialized rows, a resident working
+    set and resident bytes, and the same number of fixpoint rounds."""
     query = CANONICAL_QUERIES[name]
     structure = random_alternating_graph(9, seed=4)
     stats = {}
@@ -135,7 +134,10 @@ def test_counters_mean_the_same_at_both_widths(monkeypatch, name):
                              ("wide", 2)):
         monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", threshold)
         stats[width] = PlanStats()
-        _relation(query, structure, "columnar", stats=stats[width])
+        degradations: list = []
+        _relation(query, structure, "columnar", stats=stats[width],
+                  degradations=degradations)
+        assert degradations == [], width
     for width, counters in stats.items():
         assert counters.rows_materialized > 0, width
         assert counters.peak_rows_resident > 0, width
@@ -173,27 +175,38 @@ def test_chunked_notes_resident_bytes(chunk_everything):
     assert stats.as_dict()["bytes_resident"] == stats.bytes_resident
 
 
-# ------------------------------------------------------------- degradation
+# ---------------------------------------------------------------- totality
 
 
-def test_unsupported_shapes_raise_chunked_unsupported():
-    structure = random_graph(5, seed=1)
-    with pytest.raises(ChunkedUnsupported):
-        execute_chunked(DomainProduct(("x", "y")), structure)
-
-
-def test_unsupported_shapes_degrade_to_the_plan_backend(chunk_everything):
+def test_non_reach_runs_on_the_wide_walker(chunk_everything):
     """non-reach needs a universe**2 complement even after optimizing:
-    chunked refuses, the ladder records the degradation, and the answer
-    stays exact."""
+    the wide walker builds it from one shared row and matches tuple."""
     query = CANONICAL_QUERIES["non-reach"]
     structure = random_graph(6, edge_probability=0.3, seed=4)
     degradations: list = []
     result = _relation(query, structure, "columnar",
                        degradations=degradations)
     assert result == _relation(query, structure, "tuple")
-    assert any(event.stage == "columnar" and event.fallback == "plan"
-               for event in degradations)
+    assert degradations == []
+
+
+def test_pair_closure_island_at_wide_width(chunk_everything):
+    """A k=2 TC atom (reachability in the product graph) has no columnar
+    kernel: at wide width it runs as an island through the plan
+    interpreter, its scope decoded and re-encoded, and the answer is
+    exact with no degradation."""
+    formula = TCAtom(("a", "b"), ("c", "d"),
+                     and_(rel("E", "a", "c"), rel("E", "b", "d")),
+                     (var("x"), var("y")), (var("u"), var("v")))
+    structure = random_graph(4, edge_probability=0.4, seed=2)
+    variables = ("x", "y", "u", "v")
+    degradations: list = []
+    result = define_relation(formula, structure, variables,
+                             degradations=degradations)
+    assert degradations == []
+    assert result == define_relation(formula, structure, variables,
+                                     backend="tuple")
+    assert len(result) == 64
 
 
 def test_resource_errors_never_degrade(chunk_everything):
@@ -205,36 +218,6 @@ def test_resource_errors_never_degrade(chunk_everything):
                   budget=Budget(max_bytes_resident=64),
                   degradations=degradations)
     assert not any(event.stage == "columnar" for event in degradations)
-
-
-# --------------------------------------------------------- the universe cap
-
-
-def test_set_max_columnar_universe_round_trips():
-    previous = set_max_columnar_universe(123)
-    try:
-        assert codegen.MAX_COLUMNAR_UNIVERSE == 123
-        assert set_max_columnar_universe(previous) == 123
-    finally:
-        codegen.MAX_COLUMNAR_UNIVERSE = previous
-    with pytest.raises(ValueError):
-        set_max_columnar_universe(-1)
-
-
-def test_cap_degrades_with_an_event():
-    previous = set_max_columnar_universe(4)
-    try:
-        query = CANONICAL_QUERIES["reach"]
-        structure = random_graph(6, edge_probability=0.3, seed=3)
-        degradations: list = []
-        result = _relation(query, structure, "columnar",
-                           degradations=degradations)
-        assert result == _relation(query, structure, "tuple")
-        assert any(event.stage == "columnar"
-                   and "columnar limit" in event.error
-                   for event in degradations)
-    finally:
-        set_max_columnar_universe(previous)
 
 
 # ----------------------------------------------------- the BFS select path

@@ -3,7 +3,7 @@
 The differential corpus in ``test_plan_differential.py`` already proves
 row-level agreement four ways; this module pins the executor's machinery:
 the compile cache and its hit counter, the representation report, the
-degradation record on unsupported shapes, governor parity, the
+degradation record of arity-3 tuple fallbacks, governor parity, the
 per-execution memos that hoist loop-invariant work out of fixed points,
 and the Session / CLI wiring.
 """
@@ -37,7 +37,6 @@ from repro.core.errors import ResourceLimitExceeded
 from repro.core.governor import Budget
 from repro.logic import codegen
 from repro.logic.codegen import (
-    MAX_COLUMNAR_UNIVERSE,
     clear_codegen_cache,
     compile_columnar,
     compiled_columnar,
@@ -146,14 +145,6 @@ def test_arity_three_recorded_as_fallback():
     fallbacks = [e for e in events if e.stage == "representation"]
     assert fallbacks and all(e.fallback == "tuple" for e in fallbacks)
     assert last_report()["tuple_fallbacks"]
-
-
-def test_universe_cost_gate():
-    structure = path_graph(4)
-    plan = compile_formula(rel("E", "x", "y"))
-    object.__setattr__(structure, "size", MAX_COLUMNAR_UNIVERSE + 1)
-    with pytest.raises(ValueError, match="universe"):
-        execute_columnar(plan, structure)
 
 
 def test_governed_codegen_enforces_row_and_round_budgets():

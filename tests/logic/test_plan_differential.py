@@ -223,15 +223,20 @@ def test_generated_formulas_agree(size, seed, width, monkeypatch):
     """Four-way differential: columnar == optimized plan == raw plan ==
     tuple oracle, and the optimizer never materializes more rows than the
     raw plan.  ``wide`` forces the dense width threshold down to 2, so the
-    columnar leg runs on the wide arity-2 representation (or degrades to
-    the plan backend on the shapes it refuses)."""
+    columnar leg runs on the wide arity-2 representation.  At both widths
+    the columnar leg runs the optimized plan on the walker: nothing
+    degrades but arity-≥3 nodes held as tuples."""
     if width == "wide":
         monkeypatch.setattr(codegen, "DENSE_WIDTH_THRESHOLD", 2)
     generator = FormulaGenerator(seed)
     formula = generator.formula(depth=3, scope=FREE_VARIABLES)
     structure = random_alternating_graph(size, seed=seed)
     optimized_stats, raw_stats = PlanStats(), PlanStats()
-    columnar = define_relation(formula, structure, FREE_VARIABLES)
+    degradations: list = []
+    columnar = define_relation(formula, structure, FREE_VARIABLES,
+                               degradations=degradations)
+    assert all(event.stage == "representation" for event in degradations), \
+        f"columnar leg degraded on seed={seed}: {degradations}\n{formula}"
     optimized = define_relation(formula, structure, FREE_VARIABLES,
                                 backend="plan", stats=optimized_stats)
     raw = _raw(formula, structure, FREE_VARIABLES, stats=raw_stats)

@@ -98,6 +98,20 @@ def test_sigkill_while_idle_is_survived(pool, oracle):
     assert pool.stats["worker_deaths"] >= 1
 
 
+def test_idle_death_is_counted_where_dispatch_first_sees_it(pool):
+    """Dispatch counts an idle corpse as it skips it, so the count reads
+    1 right after the next query rather than after the supervisor's next
+    sweep; the sweep and the respawn never count it a second time."""
+    victim = pool._workers[0]
+    os.kill(victim.proc.pid, signal.SIGKILL)
+    victim.proc.wait()
+    assert pool.query(dict(TC))["ok"]
+    assert pool.stats["worker_deaths"] == 1
+    assert pool.health()["workers"][0]["deaths"] == 1
+    assert wait_until(pool.ready), pool.health()
+    assert pool.stats["worker_deaths"] == 1
+
+
 def test_crash_storm_is_a_typed_error_never_a_hang(snapshot_path,
                                                    inject_faults, oracle):
     """Every worker (and every respawn) dies on its first query: the
