@@ -301,9 +301,8 @@ def _logic_run(args, query, stats, budget, degradations: list) -> int:
     if degradations:
         ladder = ", ".join(f"{event.stage}->{event.fallback}"
                            for event in degradations)
-        print(f"note: degraded mid-run ({ladder}); the result is exact but "
-              "came from a slower backend (--stats shows the causes)",
-              file=sys.stderr)
+        print(f"note: degraded mid-run ({ladder}); the result is exact "
+              "(--stats shows the causes)", file=sys.stderr)
     print(f"query:       {args.query} over n = {structure.size} "
           f"({args.backend} backend)")
     if ivm_summary is not None:

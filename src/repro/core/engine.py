@@ -136,8 +136,8 @@ class Session:
         self.backend = backend
         self.budget = budget
         #: The session's degradation audit log: every time the logic layer
-        #: dropped a rung (optimized plan -> raw plan -> tuple oracle, or
-        #: skipped a memo store), a
+        #: reached an exact answer the slow way (the raw plan after an
+        #: optimizer failure, a skipped memo store), a
         #: :class:`~repro.core.governor.DegradationEvent` lands here.
         self.degradations: list = []
         self.stats = EvaluationStats()

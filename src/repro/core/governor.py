@@ -124,15 +124,16 @@ class Budget:
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """A record of one rung down the degradation ladder.
+    """A record of one exact answer reached the slow way.
 
     ``stage`` names where the failure happened (``"optimize"``,
-    ``"plan"``, ``"memo"``, ``"ivm"``, ``"service.columnar"``, or
+    ``"memo"``, ``"ivm"``, ``"service.columnar"``, or
     ``"representation"`` for a columnar node held as tuples); ``fallback``
-    what the engine did instead (``"raw-plan"``, ``"plan"``, ``"tuple"``,
-    ``"no-memo"``, ``"recompute"``); ``error`` the repr of the exception
-    that triggered it.  Sessions collect these instead of failing the
-    query.
+    what the engine did instead (``"raw-plan"``, ``"no-memo"``,
+    ``"recompute"``, ``"plan"`` for the service breaker's demotion, or
+    ``"tuple"`` for the tuple representation); ``error`` the repr of the
+    exception that triggered it.  Sessions collect these instead of
+    failing the query.
     """
 
     stage: str

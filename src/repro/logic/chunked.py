@@ -130,9 +130,11 @@ class _Wide(_Columns):
 
     def nbytes2(self, raw) -> int:
         """Structural bytes (words held, not Python object overhead —
-        deterministic, hence testable)."""
+        deterministic, hence testable).  A row object shared by several
+        sources (:meth:`full2`'s) is held, and charged, once."""
         if isinstance(raw, dict):
-            return 8 * (len(raw) + self.count2(raw))
+            rows = {id(row): len(row) for row in raw.values()}
+            return 8 * (len(raw) + sum(rows.values()))
         return csr_bytes(*raw)
 
     def nonempty2(self, raw) -> bool:

@@ -1326,7 +1326,7 @@ def last_report() -> dict | None:
 def execute_columnar(plan: Plan, structure, auxiliary=None,
                      stats: PlanStats | None = None, governor=None,
                      degradations: list | None = None) -> frozenset:
-    """Run ``plan`` columnar; the one-call entry the evaluation ladder uses.
+    """Run ``plan`` columnar; the one-call entry the model checker uses.
 
     Up to :data:`~repro.core.columnar.DENSE_WIDTH_THRESHOLD` the plan runs
     on the cached dense specialization; past it it runs through

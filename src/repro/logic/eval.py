@@ -52,7 +52,7 @@ from repro.core.engine import (
     least_fixpoint,
     transitive_closure,
 )
-from repro.core.errors import ResourceLimitExceeded
+from repro.core.errors import ResourceLimitExceeded, SRLError, SRLRuntimeError
 from repro.core.governor import Budget, DegradationEvent
 from repro.structures.structure import Structure
 from repro.testing.chaos import chaos_point
@@ -94,17 +94,13 @@ __all__ = ["LOGIC_BACKENDS", "ModelChecker", "evaluate", "define_relation"]
 #: relational-algebra plans (:mod:`repro.logic.compile`) and runs each on
 #: the columnar walker over bitset/CSR kernels (:mod:`repro.logic.codegen`),
 #: which covers every plan at every width; ``plan`` runs the same plans on
-#: the plan interpreter, the service breaker's fallback; ``tuple`` is the
-#: tuple-at-a-time enumeration below, kept as the differential oracle.
+#: the plan interpreter, the service breaker's fallback, with nothing below
+#: it; ``tuple`` is the tuple-at-a-time enumeration below, kept as the
+#: differential oracle.
 LOGIC_BACKENDS = ("plan", "columnar", "tuple")
 
 #: Sentinel distinguishing "variable was unbound" from "bound to 0".
 _UNBOUND = object()
-
-
-class _TupleFallback(Exception):
-    """Internal signal: both plan rungs failed on a non-budget error; the
-    caller should answer through the tuple oracle."""
 
 
 class ModelChecker:
@@ -129,10 +125,10 @@ class ModelChecker:
     columnar walker over bitset/CSR kernels (:mod:`repro.logic.codegen`),
     answering every assignment with a row lookup; ``"plan"`` runs the
     same optimized plan on the plan interpreter (the service breaker's
-    fallback), with the raw plan and then the tuple oracle below it;
-    ``"tuple"`` is the recursive enumeration this class has always
-    implemented, kept as the differential oracle (and the bottom rung of
-    the plan backend's ladder).
+    fallback); ``"tuple"`` is the recursive enumeration this class has
+    always implemented, kept as the differential oracle.  Neither plan
+    backend falls back to another executor: a fault executing a plan is
+    an :class:`~repro.core.errors.SRLRuntimeError`.
 
     Every plan goes through the :mod:`repro.logic.optimize` rewrite
     pipeline — selection pushdown, dead-column pruning, cost-based join
@@ -140,15 +136,16 @@ class ModelChecker:
     common-subplan sharing — against the structure's live statistics.
     The raw compiled plan, the optimizer's differential oracle, is run
     directly (``compile_formula(formula, layout).execute(...)``) by the
-    tests that need it, and by the ladder when optimizing fails.
+    tests that need it, and takes the optimized plan's place when
+    optimizing fails.
     ``plan_stats`` accumulates the plan executions'
     :class:`~repro.logic.plan.PlanStats` counters across this checker's
     lifetime (the CLI's ``--stats``); set it to ``None`` to skip the
     accounting.
 
     :func:`define_relation` is a one-shot checker: every logic entry point
-    runs the same degradation ladder through :meth:`defined_relation` or
-    :meth:`evaluate`.
+    runs the same optimize-then-execute path through
+    :meth:`defined_relation` or :meth:`evaluate`.
     """
 
     def __init__(self, structure: Structure,
@@ -170,8 +167,9 @@ class ModelChecker:
         self.seminaive = seminaive
         self.backend = backend
         self.budget = budget
-        #: The degradation ladder's audit log: one event per rung dropped
-        #: (optimized plan -> raw plan -> tuple oracle, memo store skipped).
+        #: The audit log: one event per exact answer reached the slow way
+        #: (raw plan after an optimizer failure, a columnar node held as
+        #: tuples, a memo store skipped, a memo entry recomputed).
         self.degradations: list[DegradationEvent] = []
         # The per-call governor minted from ``budget`` by :meth:`_governed`;
         # ``None`` whenever no budget is set (the ungoverned fast path).
@@ -255,9 +253,8 @@ class ModelChecker:
         ``layout`` fixes the columns: every free variable of the formula
         must appear in it, and a column the formula leaves unconstrained
         ranges over the whole domain.  The default is the formula's free
-        variables, sorted.  On the ``tuple`` backend — or when every plan
-        rung fails — the rows come from the governed tuple enumeration
-        over the layout.
+        variables, sorted.  On the ``tuple`` backend the rows come from
+        the governed tuple enumeration over the layout.
         """
         if layout is not None:
             layout = tuple(layout)
@@ -265,10 +262,7 @@ class ModelChecker:
             if governor is not None:
                 governor.check_time()
             if self.backend in ("plan", "columnar"):
-                try:
-                    return self._plan_relation(formula, layout)
-                except _TupleFallback:
-                    pass
+                return self._plan_relation(formula, layout)
             if layout is None:
                 layout = tuple(sorted(free_variables_of(formula)))
             rows = set()
@@ -463,9 +457,7 @@ class ModelChecker:
                        layout: tuple[str, ...] | None = None
                        ) -> tuple[tuple[str, ...], frozenset]:
         """The formula's defined relation ``(columns, rows)`` through the
-        plan cache — the memo surface :meth:`apply_update` patches.
-        Raises :class:`_TupleFallback` at the bottom of the degradation
-        ladder (nothing is cached in that case)."""
+        plan cache — the memo surface :meth:`apply_update` patches."""
         key = self._plan_key(formula, layout)
         cached = self._fixpoint_cache.get(key)
         if cached is not None:
@@ -476,80 +468,55 @@ class ModelChecker:
 
     def _plan_rows(self, formula: Formula, layout: tuple[str, ...] | None
                    ) -> tuple[tuple[str, ...], frozenset]:
-        """Execute ``formula`` set-at-a-time down the degradation ladder.
+        """Optimize ``formula``, then execute it set-at-a-time, once.
 
         Any failure *optimizing* — a rewrite crash, an injected fault, or a
         budget blown mid-pipeline — records a
         :class:`DegradationEvent("optimize", "raw-plan")` and goes on with
-        the raw compiled plan rather than failing the query.
+        the raw compiled plan, the optimizer's own oracle.
 
-        The ``columnar`` backend runs that plan on the columnar walker,
-        which covers every plan at every width, and has no further rung.
-        The ``plan`` backend (the service breaker's fallback and the chaos
-        sweep's oracle) runs the optimized plan on the plan interpreter,
-        then the raw plan: an internal failure *executing* either (but
-        never a :class:`ResourceLimitExceeded`, which is the budget working
-        as intended and always propagates) records an event and drops one
-        rung further.  Below the raw plan lies the tuple oracle, signalled
-        to the caller via :class:`_TupleFallback` (the oracle is the
-        caller's row enumeration or recursive evaluation).
-
-        Returns ``(columns, rows)`` of whichever rung answered.  Each
-        interpreted rung runs under a fresh execution context, so a failed
-        rung cannot leak partial round state into the next.
+        The plan then runs on the backend's own executor: the columnar
+        walker, which covers every plan at every width, or the plan
+        interpreter (the service breaker's fallback and the differential's
+        optimized leg).  Nothing retries below it.  A typed error — a
+        blown budget, an unknown relation — propagates unchanged; any
+        other failure executing is an engine fault, raised as
+        :class:`SRLRuntimeError` chained to its cause.
         """
-        governor, degradations = self._governor, self.degradations
-
-        def context() -> ExecutionContext:
-            return ExecutionContext(self.structure, dict(self.auxiliary),
-                                    stats=self.plan_stats,
-                                    memo=self._plan_memo, governor=governor)
-
-        plan = None
+        governor = self._governor
         try:
             plan = optimize_formula(formula, self.structure, layout,
                                     governor=governor)
         except Exception as error:
-            degradations.append(
+            self.degradations.append(
                 DegradationEvent("optimize", "raw-plan", repr(error)))
-        if self.backend == "columnar":
-            target = plan or compile_formula(formula, layout)
-            return target.columns, execute_columnar(
-                target, self.structure, auxiliary=dict(self.auxiliary),
-                stats=self.plan_stats, governor=governor,
-                degradations=degradations)
-        if plan is not None:
-            try:
-                return plan.columns, frozenset(plan.execute(context()).rows)
-            except ResourceLimitExceeded:
-                raise
-            except Exception as error:
-                degradations.append(
-                    DegradationEvent("plan", "raw-plan", repr(error)))
-        raw = compile_formula(formula, layout)
+            plan = compile_formula(formula, layout)
         try:
-            return raw.columns, frozenset(raw.execute(context()).rows)
-        except ResourceLimitExceeded:
+            if self.backend == "columnar":
+                rows = execute_columnar(
+                    plan, self.structure, auxiliary=dict(self.auxiliary),
+                    stats=self.plan_stats, governor=governor,
+                    degradations=self.degradations)
+            else:
+                rows = frozenset(plan.execute(ExecutionContext(
+                    self.structure, dict(self.auxiliary),
+                    stats=self.plan_stats, memo=self._plan_memo,
+                    governor=governor)).rows)
+        except SRLError:
             raise
         except Exception as error:
-            degradations.append(DegradationEvent("plan", "tuple", repr(error)))
-            raise _TupleFallback(error) from error
+            raise SRLRuntimeError(
+                f"{self.backend} execution failed: {error!r}") from error
+        return plan.columns, rows
 
     def _eval_plan(self, formula: Formula, assignment: dict[str, int]) -> bool:
         """Set-at-a-time evaluation: compile once (memoized per formula),
         optimize against the structure's statistics, execute the plan into
-        the formula's
-        defined relation over its free variables, and decide the assignment
-        by a row lookup.  The relation depends only on the formula and the
-        auxiliary snapshot, so it is cached exactly like the tuple
-        backend's fixed points."""
-        try:
-            columns, rows = self._plan_relation(formula)
-        except _TupleFallback:
-            # Bottom of the ladder: answer this assignment through the
-            # tuple oracle (immune to every plan-side fault by
-            # construction); nothing is cached under the "plan" key.
-            return self._eval(formula, assignment)
+        the formula's defined relation over its free variables, and decide
+        the assignment by a row lookup.  The relation depends only on the
+        formula and the auxiliary snapshot, so it is cached exactly like
+        the tuple backend's fixed points."""
+        columns, rows = self._plan_relation(formula)
         values = []
         for column in columns:
             value = assignment.get(column, _UNBOUND)
@@ -839,7 +806,8 @@ def define_relation(formula: Formula, structure: Structure,
     ``stats`` receives the plan executions'
     :class:`~repro.logic.plan.PlanStats` counters (``None``, the default,
     skips the accounting).  A ``budget`` mints a fresh governor for this
-    one definition; each rung the degradation ladder drops is appended to
+    one definition; each :class:`~repro.core.governor.DegradationEvent`
+    (an optimizer failure, a skipped memo store) is appended to
     ``degradations`` when a list is supplied.
     """
     checker = ModelChecker(structure, seminaive=seminaive, backend=backend,

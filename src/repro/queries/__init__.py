@@ -17,10 +17,8 @@
 from .agap import (
     agap_baseline,
     agap_database,
-    agap_plan,
     agap_program,
     apath_baseline,
-    apath_plan,
     apath_program,
 )
 from .arithmetic_basrl import (
@@ -68,7 +66,6 @@ from .transitive_closure import (
     reachable_baseline,
     tc_program,
     transitive_closure_baseline,
-    transitive_closure_plan,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,8 +26,8 @@ from repro.core.stdlib import forall_expr, forsome_expr, product_expr
 from repro.structures.structure import Structure
 
 __all__ = [
-    "apath_baseline", "apath_plan", "agap_baseline", "agap_plan",
-    "agap_database", "apath_program", "agap_program",
+    "apath_baseline", "agap_baseline", "agap_database", "apath_program",
+    "agap_program",
 ]
 
 
@@ -76,28 +76,6 @@ def agap_baseline(structure: Structure, source: int | None = None,
     source = 0 if source is None else source
     target = structure.size - 1 if target is None else target
     return (source, target) in apath_baseline(structure)
-
-
-def apath_plan(structure: Structure) -> frozenset[tuple[int, int]]:
-    """The APATH relation through the logic layer's plan backend: the
-    Section 3 LFP formula compiled to a relational plan whose fixed-point
-    node iterates the same semi-naive kernel :func:`apath_baseline`'s
-    hand-written delta step uses — the set-at-a-time route from the
-    *formula* (rather than from this module's bespoke derivation rules)
-    to the same relation."""
-    from repro.logic.eval import define_relation
-    from repro.logic.formula import var
-    from repro.logic.queries import apath_lfp
-    return define_relation(apath_lfp(var("u"), var("v")), structure,
-                           ("u", "v"), backend="plan")
-
-
-def agap_plan(structure: Structure, source: int | None = None,
-              target: int | None = None) -> bool:
-    """AGAP decided by the plan backend (see :func:`apath_plan`)."""
-    source = 0 if source is None else source
-    target = structure.size - 1 if target is None else target
-    return (source, target) in apath_plan(structure)
 
 
 # -------------------------------------------------------------- SRL program

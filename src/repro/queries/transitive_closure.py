@@ -27,7 +27,6 @@ __all__ = [
     "reachable_baseline",
     "deterministic_reachable_baseline",
     "transitive_closure_baseline",
-    "transitive_closure_plan",
     "graph_database",
     "tc_program",
     "dtc_program",
@@ -50,21 +49,6 @@ def transitive_closure_baseline(structure: Structure,
         successors[u].append(v)
     return frozenset(transitive_closure(successors, deterministic=deterministic,
                                         seminaive=seminaive))
-
-
-def transitive_closure_plan(structure: Structure,
-                            deterministic: bool = False
-                            ) -> frozenset[tuple[int, int]]:
-    """The same closure through the logic layer's plan backend: the TC/DTC
-    *formula* (Facts 4.1 / 4.3) compiled to a relational plan — edge scan,
-    closure node over the semi-naive kernel — instead of this module's
-    hand-built successor map.  Observationally identical to
-    :func:`transitive_closure_baseline`."""
-    from repro.logic.eval import define_relation
-    from repro.logic.queries import CANONICAL_QUERIES
-    query = CANONICAL_QUERIES["dtc" if deterministic else "tc"]
-    return define_relation(query.formula(), structure, query.variables,
-                           backend="plan")
 
 
 def reachable_baseline(structure: Structure, source: int | None = None,

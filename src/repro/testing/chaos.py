@@ -1,9 +1,10 @@
 """Deterministic fault injection for the engine stack.
 
-The engine's degradation ladder (optimized plan -> raw plan -> tuple
-oracle on the ``plan`` backend; optimized plan -> raw plan, both on the
-columnar walker, on the ``columnar`` backend) and its restore-on-exception
-guarantees are only trustworthy if they are *exercised*.  This module
+The engine's fault handling (an optimizer failure sends the raw plan to
+the same executor; a fault executing a plan is one typed
+``SRLRuntimeError``; a failed memo store is skipped) and its
+restore-on-exception guarantees are only trustworthy if they are
+*exercised*.  This module
 plants named injection points at the seams where real failures happen,
 and lets a seeded :class:`ChaosPolicy` make each of them raise, delay, or
 hand back corrupt-on-purpose data:
@@ -27,7 +28,7 @@ injection point             where it fires
                             request and evaluating it; a ``raise`` here is
                             escalated by the worker main loop to
                             ``os._exit`` — a real process death, not an
-                            exception the ladder could absorb
+                            exception the engine could absorb
 ``service.net.drop``        around one protocol frame write (raise: the
                             frame never leaves; corrupt: the frame is
                             truncated mid-payload)
@@ -40,8 +41,8 @@ Corruption is *detectable by construction*: every corrupt payload a site
 offers is one the engine's own validation (arity checks in
 ``IndexedRelation``, the optimizer's output-columns invariant, memo-row
 validation) must catch.  The chaos differential suite asserts that under
-every fault the engine either returns the correct answer via fallback or
-raises a clean typed error — never a wrong answer.
+every fault the engine either returns the correct answer or raises a
+clean typed error — never a wrong answer.
 
 The module is dependency-light on purpose (stdlib only, no imports from
 ``repro.core``): the engine imports *us*, and the hot-path cost when no
@@ -97,8 +98,8 @@ class ChaosError(RuntimeError):
 
     Deliberately *not* an :class:`~repro.core.errors.SRLError`: injected
     faults model internal bugs and infrastructure failures, which the
-    degradation ladder must absorb without a matching except clause for
-    this specific type.
+    engine must absorb or report as its own typed error without a
+    matching except clause for this specific type.
     """
 
     def __init__(self, point: str):

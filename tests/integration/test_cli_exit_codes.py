@@ -93,6 +93,22 @@ class TestResourceErrors:
                      "--max-steps", "2"]) == EXIT_RESOURCE
 
 
+class TestInternalErrors:
+    def test_executor_fault_exits_internal(self, graph_json, capsys,
+                                           inject_faults):
+        """A fault inside the plan interpreter is the engine's fault: exit
+        4 and one ``error:`` line, no traceback and no input-error label."""
+        from repro.testing.chaos import Fault
+
+        inject_faults(Fault("plan.fixpoint.round", max_fires=None))
+        assert main(["logic", "apath", "--structure", str(graph_json),
+                     "--backend", "plan"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan execution failed: ChaosError(")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestSuccessStillZero:
     def test_program(self, tmp_path, graph_json):
         source = tmp_path / "p.srl"

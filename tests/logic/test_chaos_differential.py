@@ -2,12 +2,12 @@
 
 Under every injected fault — a raise, a delay, or corrupt-on-purpose
 data at any registered injection point — the engine must either return
-the **correct** answer (via the degradation ladder) or raise a clean
-typed error.  Never a wrong answer; never a corrupted index or session.
-The ``plan`` backend's ladder is optimized plan -> raw plan -> tuple
-oracle.  The ``columnar`` backend has one rung: a fault optimizing sends
-the raw plan to the same columnar walker, which covers every plan and
-never hands the query to the plan interpreter.
+the **correct** answer or raise a clean typed error.  Never a wrong
+answer; never a corrupted index or session.  Both plan backends have one
+rung: a fault *optimizing* sends the raw plan to the same executor and
+the answer stays exact; a fault *executing* (only the plan interpreter
+has injection points inside it) ends the query as one
+:class:`~repro.core.errors.SRLRuntimeError` chained to its cause.
 
 The tier-1 tests sweep every point x action over canonical queries; the
 ``slow``-marked sweep (the nightly chaos job) crosses the full registry
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import ResourceLimitExceeded
+from repro.core.errors import ResourceLimitExceeded, SRLRuntimeError
 from repro.logic.eval import ModelChecker, define_relation
 from repro.logic.queries import CANONICAL_QUERIES
 from repro.structures import random_alternating_graph
@@ -30,10 +30,43 @@ from test_plan_differential import FREE_VARIABLES, FormulaGenerator
 CHAOS_QUERIES = ("tc", "apath")
 
 
+#: The injection points inside the plan interpreter.  Nothing retries
+#: below the executor, so a fault there may end a ``plan``-backend query,
+#: but only as the one typed error.
+EXECUTION_POINTS = ("relalg.join.probe", "plan.fixpoint.round")
+
+
 def _oracle(name, structure):
     query = CANONICAL_QUERIES[name]
     return define_relation(query.formula(), structure, query.variables,
                            backend="tuple")
+
+
+def _assert_execution_fault(error, action):
+    """``error`` is the typed execution failure, chained to the injected
+    fault or to the validation error its corrupt payload tripped."""
+    assert type(error) is SRLRuntimeError, repr(error)
+    cause = (ChaosError,) if action == "raise" else (ValueError, IndexError)
+    assert isinstance(error.__cause__, cause), repr(error.__cause__)
+
+
+def _answer_under_fault(policy, point, action, backend, formula, structure,
+                        variables):
+    """``define_relation``'s answer under the armed fault, or ``None`` when
+    an execution fault on the ``plan`` backend ended the query as the typed
+    error.  Any other exception propagates and fails the test, and so does
+    an execution fault that fired without ending the query."""
+    executing = backend == "plan" and point in EXECUTION_POINTS
+    try:
+        got = define_relation(formula, structure, variables, backend=backend)
+    except SRLRuntimeError as error:
+        if not executing:
+            raise
+        _assert_execution_fault(error, action)
+        return None
+    assert not (executing and action != "delay" and policy.fired), \
+        f"{point}/{action} fired but the query answered"
+    return got
 
 
 # ------------------------------------------------------------- the sweep
@@ -44,16 +77,17 @@ def _oracle(name, structure):
 @pytest.mark.parametrize("point", INJECTION_POINTS)
 def test_single_fault_never_changes_the_answer(point, action, backend,
                                                inject_faults):
-    """One fault per run (the realistic case: one component hiccups once);
-    the ladder's retry must land on the correct answer."""
+    """One fault per run (the realistic case: one component hiccups once):
+    the correct answer, or the typed error for an execution fault."""
     structure = random_alternating_graph(5, seed=3)
     for name in CHAOS_QUERIES:
         query = CANONICAL_QUERIES[name]
         expected = _oracle(name, structure)
-        inject_faults(Fault(point, action=action))
-        got = define_relation(query.formula(), structure, query.variables,
-                              backend=backend)
-        assert got == expected, f"fault at {point}/{action} changed {name}"
+        policy = inject_faults(Fault(point, action=action))
+        got = _answer_under_fault(policy, point, action, backend,
+                                  query.formula(), structure, query.variables)
+        assert got in (None, expected), \
+            f"fault at {point}/{action} changed {name}"
 
 
 @pytest.mark.parametrize("backend", ["plan", "columnar"])
@@ -62,17 +96,18 @@ def test_single_fault_never_changes_the_answer(point, action, backend,
 def test_persistent_fault_never_changes_the_answer(point, action, backend,
                                                    inject_faults):
     """A fault that fires on *every* pass through its site (a hard-down
-    component).  The plan backend's ladder must still bottom out on the
-    tuple oracle — which shares none of the plan backend's injection
-    points — and the columnar walker on the raw plan, and agree."""
+    component).  A hard-down optimizer pass still leaves the raw plan on
+    the same executor, which must agree with the tuple oracle; a hard-down
+    interpreter seam ends the query as the typed error."""
     structure = random_alternating_graph(5, seed=4)
     for name in CHAOS_QUERIES:
         query = CANONICAL_QUERIES[name]
         expected = _oracle(name, structure)
-        inject_faults(Fault(point, action=action, max_fires=None))
-        got = define_relation(query.formula(), structure, query.variables,
-                              backend=backend)
-        assert got == expected, f"fault at {point}/{action} changed {name}"
+        policy = inject_faults(Fault(point, action=action, max_fires=None))
+        got = _answer_under_fault(policy, point, action, backend,
+                                  query.formula(), structure, query.variables)
+        assert got in (None, expected), \
+            f"fault at {point}/{action} changed {name}"
 
 
 def test_the_sweep_actually_fires_every_point(inject_faults):
@@ -85,7 +120,7 @@ def test_the_sweep_actually_fires_every_point(inject_faults):
         fired_anywhere = False
         if point.startswith("service."):
             # The service points live in the query-service layer, not the
-            # evaluation ladder: probe each at its own seam (P10).
+            # evaluation path: probe each at its own seam (P10).
             policy = inject_faults(Fault(point, max_fires=None))
             if point == "service.worker.crash":
                 from repro.service.worker import Worker
@@ -123,13 +158,16 @@ def test_the_sweep_actually_fires_every_point(inject_faults):
                 query = CANONICAL_QUERIES[name]
                 policy = inject_faults(Fault(point, max_fires=None))
                 checker = ModelChecker(structure, backend="plan")
-                checker.evaluate(query.formula(),
-                                 dict.fromkeys(query.variables, 0))
+                try:
+                    checker.evaluate(query.formula(),
+                                     dict.fromkeys(query.variables, 0))
+                except SRLRuntimeError as error:
+                    assert point in EXECUTION_POINTS, repr(error)
                 fired_anywhere = fired_anywhere or bool(policy.fired)
         assert fired_anywhere, f"no sweep query reaches {point}"
 
 
-# ------------------------------------------------- ladder rung by rung
+# ------------------------------------------------------ fault by fault
 
 
 def test_optimizer_crash_falls_back_to_the_raw_plan(inject_faults):
@@ -141,10 +179,9 @@ def test_optimizer_crash_falls_back_to_the_raw_plan(inject_faults):
     assert {row for row in expected
             if checker.evaluate(query.formula(),
                                 dict(zip(query.variables, row)))} == expected
-    stages = [(e.stage, e.fallback) for e in checker.degradations]
-    assert ("optimize", "raw-plan") in stages
-    # The raw plan answered: no further rung was dropped.
-    assert ("plan", "tuple") not in stages
+    # The raw plan answered on the same executor, once (then memoized).
+    assert [(e.stage, e.fallback) for e in checker.degradations] == \
+        [("optimize", "raw-plan")]
 
 
 def test_corrupt_optimizer_output_is_caught_by_the_invariant(inject_faults):
@@ -158,19 +195,25 @@ def test_corrupt_optimizer_output_is_caught_by_the_invariant(inject_faults):
     assert got == expected
 
 
-def test_plan_crash_falls_back_to_the_tuple_oracle(inject_faults):
+def test_plan_executor_fault_is_a_typed_error(inject_faults):
+    """The interpreter has no rung below it: a fault executing is one
+    :class:`SRLRuntimeError` chained to the fault, nothing is cached, and
+    the checker answers correctly once the fault is gone."""
+    from repro.testing.chaos import uninstall_policy
+
     structure = random_alternating_graph(5, seed=2)
     query = CANONICAL_QUERIES["apath"]
     expected = _oracle("apath", structure)
-    # Both plan rungs die (the fault persists); only the oracle is left.
     inject_faults(Fault("plan.fixpoint.round", max_fires=None))
     checker = ModelChecker(structure, backend="plan")
-    got = {row for row in
-           ((u, v) for u in structure.universe for v in structure.universe)
-           if checker.evaluate(query.formula(), dict(zip(query.variables, row)))}
-    assert got == expected
-    assert ("plan", "tuple") in \
-        {(e.stage, e.fallback) for e in checker.degradations}
+    with pytest.raises(SRLRuntimeError, match="plan execution failed") as info:
+        checker.defined_relation(query.formula(), query.variables)
+    _assert_execution_fault(info.value, "raise")
+    assert checker.degradations == []
+    assert not checker.memoized(query.formula(), query.variables)
+    uninstall_policy()
+    assert checker.defined_relation(query.formula(), query.variables) == \
+        (query.variables, expected)
 
 
 def test_corrupt_probe_relation_is_caught_by_the_index_build(inject_faults):
@@ -178,11 +221,11 @@ def test_corrupt_probe_relation_is_caught_by_the_index_build(inject_faults):
     into the probe side) must break the index build loudly, never join
     silently."""
     structure = random_alternating_graph(6, seed=5)
-    expected = _oracle("apath", structure)
     inject_faults(Fault("relalg.join.probe", action="corrupt"))
-    got = define_relation(CANONICAL_QUERIES["apath"].formula(), structure,
-                          ("u", "v"), backend="plan")
-    assert got == expected
+    with pytest.raises(SRLRuntimeError) as info:
+        define_relation(CANONICAL_QUERIES["apath"].formula(), structure,
+                        ("u", "v"), backend="plan")
+    assert type(info.value.__cause__) is IndexError
 
 
 def test_corrupt_memo_store_is_skipped_not_cached(inject_faults):
@@ -202,8 +245,8 @@ def test_corrupt_memo_store_is_skipped_not_cached(inject_faults):
 
 
 def test_chaos_errors_surface_when_there_is_no_ladder(inject_faults):
-    """Outside the ladder (a raw kernel call, no fallback), an injected
-    fault is a clean typed error — not silence, not a wrong answer."""
+    """Outside the checker (a raw ``Plan.execute`` call), an injected
+    fault surfaces as itself — not silence, not a wrong answer."""
     from repro.logic.compile import compile_formula
     from repro.logic.plan import ExecutionContext
 
@@ -242,19 +285,20 @@ def test_generated_formulas_survive_every_fault(point, action, seed,
                                                 inject_faults):
     """The nightly corpus: seeded random formulas (every constructor the
     differential generator covers) x every injection point x every
-    action, single-shot and persistent.  Zero wrong answers allowed."""
+    action, single-shot and persistent.  Zero wrong answers allowed;
+    an execution fault may end the query only as the typed error."""
     generator = FormulaGenerator(seed)
     formula = generator.formula(depth=3, scope=FREE_VARIABLES)
     structure = random_alternating_graph(4, seed=seed)
     expected = define_relation(formula, structure, FREE_VARIABLES,
                                backend="tuple")
     for max_fires in (1, None):
-        inject_faults(Fault(point, action=action, delay_seconds=0.001,
-                            max_fires=max_fires), seed=seed)
+        policy = inject_faults(Fault(point, action=action, delay_seconds=0.001,
+                                     max_fires=max_fires), seed=seed)
         try:
-            got = define_relation(formula, structure, FREE_VARIABLES,
-                                  backend="plan")
+            got = _answer_under_fault(policy, point, action, "plan", formula,
+                                      structure, FREE_VARIABLES)
         except ResourceLimitExceeded:
             pytest.fail("no budget was set: nothing may raise a limit")
-        assert got == expected, \
+        assert got in (None, expected), \
             f"seed={seed} {point}/{action} max_fires={max_fires}:\n{formula}"

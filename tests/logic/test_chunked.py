@@ -16,15 +16,17 @@ import pytest
 
 from repro.core.errors import MemoryLimitExceeded, ResourceLimitExceeded
 from repro.core.governor import Budget
-from repro.logic import codegen
+from repro.logic import chunked, codegen
 from repro.logic.codegen import execute_columnar, last_report
 from repro.logic.compile import compile_formula
 from repro.logic.eval import define_relation
 from repro.logic.formula import TCAtom, and_, rel, var
 from repro.logic.plan import ExecutionContext, PlanStats
 from repro.logic.queries import CANONICAL_QUERIES
+from repro.queries.transitive_closure import transitive_closure_baseline
 from repro.structures import (
     load_structure,
+    path_graph,
     random_alternating_graph,
     save_snapshot,
 )
@@ -188,6 +190,27 @@ def test_non_reach_runs_on_the_wide_walker(chunk_everything):
                        degradations=degradations)
     assert result == _relation(query, structure, "tuple")
     assert degradations == []
+
+
+def test_wide_domain_squared_is_charged_once_per_row():
+    """``full2()`` shares one row across every source: n keys plus one
+    row of n words, not n rows."""
+    cols = chunked._Wide(1000)
+    assert cols.nbytes2(cols.full2()) == 16_000
+    assert cols.count2(cols.full2()) == 1000 * 1000
+
+
+def test_wide_non_reach_fits_the_byte_budget_of_its_closure(chunk_everything):
+    """TC's own payload on a 200-vertex path is about 160 kB; the shared
+    ``Domain²`` row adds O(n) words, so a 200 kB budget answers
+    non-reach exactly."""
+    query = CANONICAL_QUERIES["non-reach"]
+    structure = path_graph(200)
+    everything = {(u, v) for u in structure.universe
+                  for v in structure.universe}
+    assert _relation(query, structure, "columnar",
+                     budget=Budget(max_bytes_resident=200_000)) == \
+        everything - transitive_closure_baseline(structure)
 
 
 def test_pair_closure_island_at_wide_width(chunk_everything):

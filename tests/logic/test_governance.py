@@ -1,4 +1,4 @@
-"""Budget-bounded differential suite + degradation-ladder tests (PR 6).
+"""Budget-bounded differential suite (PR 6).
 
 The governance contract, stated as a differential property: a
 budget-bounded run either produces **exactly** the unbounded answer, or

@@ -3,7 +3,7 @@ strategy.
 
 :func:`~repro.logic.eval.define_relation` is a one-shot
 :class:`~repro.logic.eval.ModelChecker`, so every entry point runs the same
-degradation ladder; the plan and columnar backends run semi-naive fixed
+optimize-then-execute path; the plan and columnar backends run semi-naive fixed
 points only, leaving the naive strategy to the tuple oracle.  Every logic
 entry point defaults to ``"columnar"``, and the oracles (the tuple checker,
 the raw compiled plan, a recompute per row) are built by the tests that
@@ -105,21 +105,27 @@ def test_padded_entry_survives_updates(backend):
     assert checker.ivm_stats.get("closure", 0) >= len(updates)
 
 
-def test_define_relation_reports_degradations_in_order(inject_faults):
-    """The caller's list receives the ladder's events as they happen:
-    both plan rungs, then the tuple oracle answers."""
+@pytest.mark.parametrize("backend", PLAN_BACKENDS)
+def test_define_relation_reports_degradations_in_order(backend,
+                                                       inject_faults):
+    """The caller's list receives the events as they happen: the
+    optimizer fails, and the raw plan answers exactly on the same
+    executor (at dense width the columnar walker also reports each raw-plan
+    node it holds as tuples)."""
     from repro.testing.chaos import Fault
 
     structure = random_alternating_graph(5, seed=5)
     query = CANONICAL_QUERIES["apath"]
-    expected = define_relation(query.formula(), structure, query.variables)
-    inject_faults(Fault("plan.fixpoint.round", max_fires=None))
+    expected = define_relation(query.formula(), structure, query.variables,
+                               backend="tuple")
+    inject_faults(Fault("optimize.pass.reorder", max_fires=None))
     events: list = []
     got = define_relation(query.formula(), structure, query.variables,
-                          backend="plan", degradations=events)
+                          backend=backend, degradations=events)
     assert got == expected
-    assert [(e.stage, e.fallback) for e in events] == \
-        [("plan", "raw-plan"), ("plan", "tuple")]
+    assert [(e.stage, e.fallback) for e in events
+            if e.stage != "representation"] == [("optimize", "raw-plan")]
+    assert events[0].stage == "optimize"
 
 
 # --------------------------------------------------------------- AST guards
@@ -220,6 +226,36 @@ def test_production_modules_read_no_oracle_switch():
             elif isinstance(node, ast.Attribute) and \
                     node.attr in ("memoize", "optimize"):
                 offenders.append(f"{relative}:{node.lineno} .{node.attr}")
+    assert offenders == []
+
+
+def _constructs_degradation(node: ast.AST, stage: str) -> bool:
+    """Whether ``node`` is a ``DegradationEvent(stage, ...)`` call (the
+    stage given positionally or by keyword)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else None
+    if name != "DegradationEvent":
+        return False
+    given = node.args[0] if node.args else next(
+        (k.value for k in node.keywords if k.arg == "stage"), None)
+    return isinstance(given, ast.Constant) and given.value == stage
+
+
+def test_no_executor_falls_back_to_another():
+    """Nothing below a plan backend's executor: no ``_TupleFallback``
+    signal and no ``DegradationEvent("plan", ...)`` anywhere in the
+    library — an executor fault is one typed error."""
+    offenders = []
+    for path in sorted(REPRO_ROOT.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            named = getattr(node, "name", None) or getattr(node, "id", None)
+            if named == "_TupleFallback" or \
+                    _constructs_degradation(node, "plan"):
+                offenders.append(f"{path.relative_to(REPRO_ROOT)}:"
+                                 f"{node.lineno}")
     assert offenders == []
 
 

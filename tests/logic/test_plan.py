@@ -45,11 +45,8 @@ from repro.logic.plan import (
     Union,
 )
 from repro.logic.queries import CANONICAL_QUERIES, apath_lfp, reachability_tc
-from repro.queries.agap import agap_plan, apath_baseline, apath_plan
-from repro.queries.transitive_closure import (
-    transitive_closure_baseline,
-    transitive_closure_plan,
-)
+from repro.queries.agap import apath_baseline
+from repro.queries.transitive_closure import transitive_closure_baseline
 from repro.structures import (
     Structure,
     Vocabulary,
@@ -259,16 +256,24 @@ class TestSessionFacade:
 
 
 class TestMigratedConsumers:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_apath_plan_matches_baseline(self, seed):
-        g = random_alternating_graph(6, seed=seed)
-        assert apath_plan(g) == apath_baseline(g)
-        assert agap_plan(g) == ((0, g.size - 1) in apath_baseline(g))
+    """The Section 3 LFP and Section 4 TC/DTC formulas, set-at-a-time on
+    both plan backends, against the queries' hand-written baselines."""
 
+    @pytest.mark.parametrize("backend", ("plan", "columnar"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_apath_matches_baseline(self, seed, backend):
+        g = random_alternating_graph(6, seed=seed)
+        assert define_relation(apath_lfp(var("u"), var("v")), g, ("u", "v"),
+                               backend=backend) == apath_baseline(g)
+
+    @pytest.mark.parametrize("backend", ("plan", "columnar"))
     @pytest.mark.parametrize("deterministic", (False, True))
-    def test_transitive_closure_plan_matches_baseline(self, deterministic):
+    def test_transitive_closure_matches_baseline(self, deterministic,
+                                                 backend):
         g = random_graph(6, seed=4)
-        assert transitive_closure_plan(g, deterministic=deterministic) == \
+        query = CANONICAL_QUERIES["dtc" if deterministic else "tc"]
+        assert define_relation(query.formula(), g, query.variables,
+                               backend=backend) == \
             transitive_closure_baseline(g, deterministic=deterministic)
 
     def test_registry_queries_are_well_formed(self):

@@ -75,7 +75,7 @@ FREE_VARIABLES = ("u", "v")
 
 def _raw(formula, structure, variables, stats=None, governor=None):
     """The raw compiled plan — the optimizer's differential oracle — run
-    once on the plan interpreter, with no ladder underneath."""
+    once on the plan interpreter, outside the checker."""
     plan = compile_formula(formula, tuple(variables))
     return frozenset(plan.execute(ExecutionContext(
         structure, {}, stats=stats, governor=governor)).rows)

@@ -67,7 +67,7 @@ def test_fresh_checkers_per_thread_agree(graph_structure_fixture, oracle):
 
 def test_concurrent_clients_match_the_oracle(snapshot_path, oracle):
     """The multi-worker differential test: concurrent clients, both plan
-    rungs, every answer equal to the tuple oracle."""
+    backends, every answer equal to the tuple oracle."""
     pool = WorkerPool(PoolConfig(workers=2))
     pool.start()
     pool.load("g", str(snapshot_path))

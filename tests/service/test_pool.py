@@ -144,8 +144,8 @@ def test_crash_storm_is_a_typed_error_never_a_hang(snapshot_path,
 def test_breaker_trips_columnar_down_to_plan(snapshot_path, inject_faults,
                                              oracle):
     """Repeated deaths serving one structure trip its circuit breaker:
-    later columnar requests run on the plan rung (correct answers, just
-    degraded) and the trip is surfaced as a DegradationEvent."""
+    later columnar requests run on the plan backend (correct answers,
+    just degraded) and the trip is surfaced as a DegradationEvent."""
     inject_faults(Fault("service.worker.crash", max_fires=1))
     pool = WorkerPool(PoolConfig(workers=2, max_retries=1,
                                  backoff_base_seconds=0.01,

@@ -122,6 +122,29 @@ def test_external_cancel_token_reaches_the_budget(worker):
     assert reply["error"]["type"] == "EvaluationCancelled"
 
 
+def test_executor_fault_is_an_internal_error_not_a_crash(worker, oracle,
+                                                         inject_faults):
+    """A fault inside the plan interpreter is the engine's own typed
+    error: an ``internal`` envelope, never a re-raised ChaosError (which
+    the pipe loop would turn into process death).  The checker is intact
+    once the fault is gone."""
+    from repro.testing.chaos import Fault, uninstall_policy
+
+    request = {"op": "query", "id": 9, "structure": "g", "query": "apath",
+               "backend": "plan"}
+    policy = inject_faults(Fault("plan.fixpoint.round", max_fires=None))
+    reply = worker.handle(request)
+    assert policy.fired
+    assert not reply["ok"] and reply["id"] == 9
+    assert reply["error"]["kind"] == "internal"
+    assert reply["error"]["type"] == "SRLRuntimeError"
+    assert "plan execution failed" in reply["error"]["message"]
+    uninstall_policy()
+    reply = worker.handle(request)
+    assert reply["ok"]
+    assert reply["rows"] == oracle("apath")
+
+
 # ----------------------------------------------------- cache invalidation
 
 
