@@ -727,8 +727,7 @@ def _columnar_vs_optimized(name: str, query_name: str, structure, table,
     fast = define_relation(formula, structure, query.variables,
                            backend="columnar",
                            degradations=events)
-    assert not [e for e in events if e.stage == "columnar"], \
-        f"{query_name}: columnar rung degraded: {events}"
+    assert events == [], f"{query_name}: columnar walker degraded: {events}"
     assert fast == set_backend()
     repeats = 1 if smoke else 2
     set_seconds = _best_of(set_backend, repeats=repeats)

@@ -39,6 +39,7 @@ walker calls them through its wide arity-2 representation
 from __future__ import annotations
 
 from array import array
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -87,6 +88,9 @@ _BYTE_OFFSETS = tuple(
     tuple(offset for offset in range(8) if value >> offset & 1)
     for value in range(256))
 
+#: ``bytes.translate`` table taking the ASCII digits of ``bin`` to 0/1.
+_BINARY_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def bits_of_unary(rows: Iterable[Sequence[int]]) -> int:
     """A unary relation (iterable of 1-tuples) as one bit vector.  Rows of
@@ -113,18 +117,16 @@ def adjacency_of_binary(rows: Iterable[Sequence[int]], n: int) -> list[int]:
     return adjacency
 
 
-def rows_of_adjacency(adjacency: list[int]) -> set[tuple[int, int]]:
-    """The pair rows of bitmask-row adjacency."""
-    rows: set[tuple[int, int]] = set()
-    update = rows.update
-    table = _BYTE_OFFSETS
-    for source, bits in enumerate(adjacency):
-        if bits:
-            data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-            update((source, (base << 3) + offset)
-                   for base, byte in enumerate(data) if byte
-                   for offset in table[byte])
-    return rows
+def rows_of_adjacency(adjacency: list[int]) -> frozenset[tuple[int, int]]:
+    """The pair rows of bitmask-row adjacency, built in one C-level pass
+    per source row: the row's binary digits, lowest first, become 0/1
+    selectors over the target indices."""
+    flags = _BINARY_DIGIT_FLAGS
+    return frozenset(chain.from_iterable(
+        zip(repeat(source),
+            compress(range(bits.bit_length()),
+                     bin(bits)[:1:-1].encode().translate(flags)))
+        for source, bits in enumerate(adjacency) if bits))
 
 
 def csr_of_adjacency(adjacency: list[int]) -> tuple[list[int], list[int]]:

@@ -31,6 +31,7 @@ so a ``max_bytes_resident`` budget bites), and closures check
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain, repeat
 
 from repro.core.columnar import (
     _functional_csr,
@@ -91,9 +92,9 @@ class _Wide(_Columns):
     def _csr(self, raw) -> tuple:
         return csr_of_sparse(raw, self.n) if isinstance(raw, dict) else raw
 
-    def rows2(self, raw) -> set:
-        return {(source, target) for source, row in self._items(raw)
-                for target in row}
+    def rows2(self, raw) -> frozenset:
+        return frozenset(chain.from_iterable(
+            zip(repeat(source), row) for source, row in self._items(raw)))
 
     @staticmethod
     def of_pairs(rows) -> dict:

@@ -58,9 +58,10 @@ every width.
 
 Governor choke points mirror the interpreted plan executor's: every
 materializing kernel notes its rows (and, for arity 2, its structural
-bytes) and ticks, every fixpoint round and closure BFS wave notes a round,
-and ``DomainProduct``, ``ConstrainedDomain``, ``Product`` and ``Closure``
-check the row budget *ahead* of building anything.  The one intentional
+bytes, until every byte peak holds the dense ceiling) and ticks, every
+fixpoint round and closure BFS wave notes a round, and ``DomainProduct``,
+``ConstrainedDomain``, ``Product`` and ``Closure`` check the row budget
+*ahead* of building anything.  The one intentional
 difference: ``index_probes`` stays zero — the columnar joins are masks and
 merges, there is no hash index to probe.
 """
@@ -176,11 +177,15 @@ class _Columns:
     ``select_fn``).
     """
 
+    #: The most bytes :meth:`nbytes2` can report for one payload, when the
+    #: representation has such a bound (``None``: sizes grow with edges).
+    bytes_ceiling: int | None = None
+
     def __init__(self, n: int):
         self.n = n
         self.full = (1 << n) - 1
 
-    def decode(self, raw, arity: int) -> set:
+    def decode(self, raw, arity: int) -> set | frozenset:
         if arity == 0:
             return {()} if raw else set()
         if arity == 1:
@@ -311,6 +316,8 @@ class _Dense(_Columns):
 
     def __init__(self, n: int):
         super().__init__(n)
+        # n row words, and at most n bits in each row.
+        self.bytes_ceiling = 8 * n + (n * n >> 3)
         self.square = [self.full] * n
         self.successors: dict[int, tuple] = {}
         self.capacity = max(4, _DERIVED_BYTES // (n * ((n + 7) >> 3) or 1))
@@ -349,7 +356,7 @@ class _Dense(_Columns):
     def full2(self) -> list[int]:
         return self.square
 
-    def rows2(self, raw) -> set:
+    def rows2(self, raw) -> frozenset:
         return rows_of_adjacency(self.materialize(raw))
 
     @staticmethod
@@ -849,6 +856,8 @@ class _Walker:
         self.stats = stats
         self.governor = governor
         self.track = stats is not None or governor is not None
+        self.ceiling = cols.bytes_ceiling
+        self.saturated = self.at_ceiling()
         self.scope: dict[str, tuple] = {}
         self.memo: dict = {}
         self.round_memo: dict = {}
@@ -869,7 +878,8 @@ class _Walker:
         and, for closure-like kernels, the rows resident at once."""
         if self.track:
             count = self.cols.count(raw, arity)
-            nbytes = self.cols.nbytes2(raw) if arity == 2 else 0
+            nbytes = self.cols.nbytes2(raw) \
+                if arity == 2 and not self.saturated else 0
             stats = self.stats
             if stats is not None:
                 stats.rows_materialized += count
@@ -881,7 +891,26 @@ class _Walker:
                 if nbytes:
                     governor.note_bytes(nbytes)
                 governor.tick()
+            if nbytes == self.ceiling:
+                self.saturated = self.at_ceiling()
         return raw
+
+    def at_ceiling(self) -> bool:
+        """Whether every byte peak present already holds the ceiling.  Both
+        keep only a maximum, and a byte budget at or above the ceiling can
+        never trip on an arity-2 payload, so from then on sizing one
+        changes nothing observable and :meth:`note` skips it."""
+        ceiling = self.ceiling
+        if ceiling is None:
+            return False
+        stats, governor = self.stats, self.governor
+        if stats is not None and stats.bytes_resident < ceiling:
+            return False
+        if governor is not None:
+            limit = governor.budget.max_bytes_resident
+            return governor.bytes_resident >= ceiling \
+                and (limit is None or limit >= ceiling)
+        return True
 
     def check_ahead(self, count: int) -> None:
         if self.governor is not None:

@@ -302,6 +302,16 @@ class Plan:
     #: rows as materialized).  ``Rename`` and ``Shared`` override this.
     _materializes = True
 
+    #: The structural hash, set on an instance by its first ``hash`` (see
+    #: :func:`_node`).
+    _hash = None
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: a copy rehashes.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def children(self) -> tuple["Plan", ...]:
         return ()
 
@@ -342,7 +352,25 @@ class Plan:
         return f"({', '.join(self.columns)})"
 
 
-@dataclass(frozen=True)
+def _node(cls: type) -> type:
+    """A frozen-dataclass plan node whose structural hash is computed once
+    per instance.  Memos keyed by plan nodes (the walker's ``Shared`` and
+    ``Cumulative`` stores, the optimizer's) then hash a subtree in O(1)
+    instead of walking it on every lookup; equality stays structural."""
+    cls = dataclass(frozen=True)(cls)
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self.__dict__["_hash"] = structural(self)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class RelationScan(Plan):
     """Scan an input relation of the structure.
 
@@ -367,7 +395,7 @@ class RelationScan(Plan):
         return f"Scan {self.name}{permuted} -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class AuxScan(Plan):
     """Scan an auxiliary relation (a fixed-point stage, or a caller-supplied
     interpretation); unknown names read as empty, like the tuple evaluator.
@@ -405,7 +433,7 @@ class AuxScan(Plan):
         return f"ScanAux {self.name}{permuted} -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class DeltaScan(Plan):
     """Scan the *frontier* of a fixed-point stage relation — the rows added
     in the previous round — inside a delta-rewritten :class:`Fixpoint`
@@ -448,7 +476,7 @@ def _permuted_scan(rows: Iterable[tuple], order: tuple[int, ...]
         arity=arity)
 
 
-@dataclass(frozen=True)
+@_node
 class DomainProduct(Plan):
     """The full active-domain product ``universe^k`` — the complement space
     for negation/universal quantification and the padding for columns a
@@ -469,7 +497,7 @@ class DomainProduct(Plan):
         return f"Domain^{len(self.columns)} -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class ConstrainedDomain(Plan):
     """``Select`` over a :class:`DomainProduct`, fused: the comparisons are
     applied *during* enumeration, column by column, so an equality atom
@@ -543,7 +571,7 @@ class ConstrainedDomain(Plan):
         return f"Domain^{len(self.columns)} [{conditions}] -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Empty(Plan):
     """The empty relation (the relational encoding of *false*)."""
 
@@ -556,7 +584,7 @@ class Empty(Plan):
         return f"Empty -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Select(Plan):
     """The rows of the child satisfying every comparison."""
 
@@ -583,7 +611,7 @@ class Select(Plan):
         return f"Select [{conditions}] -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Project(Plan):
     """The projection onto the named columns (which also reorders;
     duplicate result rows collapse, giving ``exists`` its semantics)."""
@@ -608,7 +636,7 @@ class Project(Plan):
         return f"Project -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Rename(Plan):
     """Pure column relabeling: same rows, new names (how an atom's
     positional columns take on the atom's variable names)."""
@@ -628,7 +656,7 @@ class Rename(Plan):
         return f"Rename -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Join(Plan):
     """The natural join on the shared column names (a cross product when
     none are shared) — conjunction, set-at-a-time.
@@ -687,7 +715,7 @@ class Join(Plan):
         return f"Join on [{on}] -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class JoinProject(Plan):
     """A natural join that emits only the named output columns — the
     optimizer's fusion of ``Project(Join(left, right))``.
@@ -801,7 +829,7 @@ def _key_indices(left: Plan, right: Plan) -> tuple[int, ...]:
     return tuple(left.columns.index(c) for c in right.columns)
 
 
-@dataclass(frozen=True)
+@_node
 class SemiJoin(Plan):
     """The rows of ``left`` whose projection onto ``right.columns`` is a
     row of ``right`` — a natural join that adds no columns, executed as a
@@ -831,7 +859,7 @@ class SemiJoin(Plan):
         return f"SemiJoin on [{on}] -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class AntiJoin(Plan):
     """The rows of ``left`` whose projection onto ``right.columns`` is
     *not* a row of ``right`` — how the optimizer executes a negation whose
@@ -862,7 +890,7 @@ class AntiJoin(Plan):
         return f"AntiJoin on [{on}] -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Product(Plan):
     """The cross product of two plans with disjoint columns (how a plan is
     widened with unconstrained domain columns)."""
@@ -884,7 +912,7 @@ class Product(Plan):
         return f"Product -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Union(Plan):
     """Set union of layout-aligned operands — disjunction."""
 
@@ -907,7 +935,7 @@ class Union(Plan):
         return f"Union of {len(self.operands)} -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Difference(Plan):
     """Left rows absent from right (layouts aligned by the compiler) — the
     active-domain complement when the left side is a :class:`DomainProduct`."""
@@ -929,7 +957,7 @@ class Difference(Plan):
         return f"Difference -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class CountSelect(Plan):
     """The counting quantifier ``(exists >= threshold variable) child``:
     group the child's rows by every column but ``variable`` and keep the
@@ -984,7 +1012,7 @@ def _positional(count: int) -> tuple[str, ...]:
     return tuple(f"${i}" for i in range(count))
 
 
-@dataclass(frozen=True)
+@_node
 class Fixpoint(Plan):
     """The least fixed point of the body plan.
 
@@ -1095,7 +1123,7 @@ class Fixpoint(Plan):
                 f"{strategy} -> {self._layout()}")
 
 
-@dataclass(frozen=True)
+@_node
 class Closure(Plan):
     """The reflexive transitive closure of the k-tuple edge relation the
     body plan computes (its columns: k source then k target columns),
@@ -1143,7 +1171,7 @@ class Closure(Plan):
         return f"Closure[{operator}, k={self.k}] -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Shared(Plan):
     """A common subplan, executed at most once per memo scope.
 
@@ -1196,7 +1224,7 @@ class Shared(Plan):
         return f"{kind} -> {self._layout()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Cumulative(Plan):
     """A subplan *monotone* in the enclosing fixed point's relation,
     maintained incrementally across rounds.

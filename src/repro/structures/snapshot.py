@@ -432,6 +432,12 @@ def _require(condition: bool, message: str) -> None:
         raise SnapshotError(message)
 
 
+def _within(values, size: int) -> bool:
+    """Whether every value lies in ``[0, size)``: one C-level ``min`` and
+    ``max`` pass each, not a Python loop per value."""
+    return not values or (min(values) >= 0 and max(values) < size)
+
+
 class Snapshot:
     """One opened snapshot: the parsed header, the lazy structure, and
     any derived relations stored alongside it.
@@ -576,11 +582,10 @@ class Snapshot:
             targets = _array_from("i", section[8 * (size + 1):])
             _require(len(offsets) == size + 1 and offsets[0] == 0
                      and offsets[-1] == rows
-                     and all(offsets[i] <= offsets[i + 1]
-                             for i in range(size)),
+                     and offsets.tolist() == sorted(offsets),
                      f"{self.path}: relation {name!r} csr offsets are not "
                      f"monotone over [0, {rows}]")
-            _require(all(0 <= t < size for t in targets),
+            _require(_within(targets, size),
                      f"{self.path}: relation {name!r} has targets outside "
                      f"the universe of {size}")
             return PackedCSRRelation(offsets, targets)
@@ -597,7 +602,7 @@ class Snapshot:
                  f"{len(section)} bytes, expected {expected}")
         flat = _array_from("i", section)
         if arity:
-            _require(all(0 <= value < size for value in flat),
+            _require(_within(flat, size),
                      f"{self.path}: relation {name!r} has components "
                      f"outside the universe of {size}")
         return PackedTupleRelation(arity, flat)

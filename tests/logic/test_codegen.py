@@ -19,12 +19,15 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columnar import (
     and_rows,
     andnot_rows,
     compose,
     count_per_source,
+    csr_of_adjacency,
     mask_rows_source,
     mask_rows_target,
     or_rows,
@@ -33,9 +36,9 @@ from repro.core.columnar import (
     transpose,
 )
 from repro.core.engine import Session
-from repro.core.errors import ResourceLimitExceeded
+from repro.core.errors import MemoryLimitExceeded, ResourceLimitExceeded
 from repro.core.governor import Budget
-from repro.logic import codegen
+from repro.logic import chunked, codegen
 from repro.logic.codegen import (
     clear_codegen_cache,
     compile_columnar,
@@ -392,6 +395,78 @@ def test_converse_payloads_agree_with_their_rows(seed):
                 == cols.nbytes2(andnot_rows(plain, a))
 
 
+# ------------------------------------------------ row building and bytes
+
+
+@st.composite
+def _adjacencies(draw):
+    """Bitmask rows over a width that need not be a multiple of 8, with
+    empty rows, rows holding only bit ``n - 1``, and arbitrary rows."""
+    n = draw(st.integers(1, 40))
+    full = (1 << n) - 1
+    row = st.one_of(st.just(0), st.just(1 << (n - 1)), st.just(full),
+                    st.integers(0, full))
+    return n, draw(st.lists(row, min_size=n, max_size=n))
+
+
+@given(_adjacencies())
+@settings(max_examples=150, deadline=None)
+def test_rows_of_payloads_match_brute_force(case):
+    n, adjacency = case
+    expected = {(x, y) for x in range(n) for y in range(n)
+                if adjacency[x] >> y & 1}
+    dense = codegen._Dense(n)
+    assert dense.rows2(adjacency) == expected
+    assert dense.rows2(dense.transpose(adjacency)) == \
+        {(y, x) for x, y in expected}
+    wide = chunked._Wide(n)
+    assert wide.rows2(wide.of_pairs(expected)) == expected
+    assert wide.rows2(csr_of_adjacency(adjacency)) == expected
+
+
+@given(_adjacencies())
+@settings(max_examples=150, deadline=None)
+def test_dense_bytes_never_pass_the_ceiling(case):
+    """The bound that lets :meth:`_Walker.note` stop sizing payloads once
+    both byte peaks hold it, and ``Domain²`` meets it."""
+    n, adjacency = case
+    cols = codegen._Dense(n)
+    ceiling = cols.bytes_ceiling
+    assert cols.nbytes2(adjacency) <= ceiling
+    assert cols.nbytes2(cols.transpose(adjacency)) <= ceiling
+    assert cols.nbytes2(cols.full2()) == ceiling
+    assert cols.nbytes2(codegen._Converse(cols.full2())) == ceiling
+
+
+def test_byte_budget_trips_below_the_ceiling_only(snapshot_graph):
+    """agap reaches the ceiling: a budget at it never trips, and one byte
+    less trips on the same payload, with the same error, as it did while
+    every payload was sized."""
+    compiled = _compiled("agap", snapshot_graph)
+    ceiling = codegen._Dense(snapshot_graph.size).bytes_ceiling
+    assert ceiling == 3072
+    stats = PlanStats()
+    compiled.execute(snapshot_graph, stats=stats,
+                     governor=Budget(max_bytes_resident=ceiling).start(stats))
+    assert stats.bytes_resident == ceiling
+    stats = PlanStats()
+    with pytest.raises(MemoryLimitExceeded) as caught:
+        compiled.execute(snapshot_graph, stats=stats, governor=Budget(
+            max_bytes_resident=ceiling - 1).start(stats))
+    error = caught.value
+    assert (error.limit, error.used) == (ceiling - 1, ceiling)
+    assert error.stats.rows_materialized == 26738
+    # A governor whose peak already holds the ceiling, under a budget
+    # below it, still sizes every payload and trips again.
+    governor = Budget(max_bytes_resident=ceiling - 1).start()
+    governor.note_bytes(ceiling - 1)
+    with pytest.raises(MemoryLimitExceeded):
+        governor.note_bytes(ceiling)
+    with pytest.raises(MemoryLimitExceeded) as caught:
+        compiled.execute(snapshot_graph, governor=governor)
+    assert (caught.value.limit, caught.value.used) == (ceiling - 1, ceiling)
+
+
 # ------------------------------------------------------------ pinned reach
 
 #: A graph with deterministic chains both ways: TC reaches 0,1,2,3,4,5,9
@@ -529,6 +604,21 @@ def test_dense_canonical_answers_and_counters_match_the_golden_file(
     assert sorted(table) == sorted(golden)
     for name, entry in golden.items():
         assert table[name] == entry, name
+
+
+@pytest.mark.parametrize("name", DENSE_CANONICAL)
+def test_governed_runs_keep_the_golden_counters_and_byte_peaks(
+        snapshot_graph, name):
+    """Under a governor the ``PlanStats`` are still the golden ones, and
+    the governor's byte peak equals ``bytes_resident``: skipping the
+    byte sums past the ceiling loses neither peak."""
+    entry = json.loads(DENSE_GOLDEN.read_text())[name]
+    stats = PlanStats()
+    governor = Budget(max_rows_materialized=10 ** 12).start(stats)
+    _compiled(name, snapshot_graph).execute(snapshot_graph, stats=stats,
+                                            governor=governor)
+    assert dataclasses.asdict(stats) == entry["stats"]
+    assert governor.bytes_resident == entry["stats"]["bytes_resident"]
 
 
 if __name__ == "__main__":

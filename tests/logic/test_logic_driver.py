@@ -246,14 +246,16 @@ def _constructs_degradation(node: ast.AST, stage: str) -> bool:
 
 def test_no_executor_falls_back_to_another():
     """Nothing below a plan backend's executor: no ``_TupleFallback``
-    signal and no ``DegradationEvent("plan", ...)`` anywhere in the
-    library — an executor fault is one typed error."""
+    signal and no ``DegradationEvent("plan", ...)`` or
+    ``DegradationEvent("columnar", ...)`` anywhere in the library — an
+    executor fault is one typed error."""
     offenders = []
     for path in sorted(REPRO_ROOT.rglob("*.py")):
         for node in ast.walk(_parse(path)):
             named = getattr(node, "name", None) or getattr(node, "id", None)
-            if named == "_TupleFallback" or \
-                    _constructs_degradation(node, "plan"):
+            if named == "_TupleFallback" or any(
+                    _constructs_degradation(node, stage)
+                    for stage in ("plan", "columnar")):
                 offenders.append(f"{path.relative_to(REPRO_ROOT)}:"
                                  f"{node.lineno}")
     assert offenders == []

@@ -6,7 +6,10 @@ the ``python -m repro logic`` CLI."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -42,6 +45,8 @@ from repro.logic.plan import (
     Fixpoint,
     Join,
     Project,
+    RelationScan,
+    Shared,
     Union,
 )
 from repro.logic.queries import CANONICAL_QUERIES, apath_lfp, reachability_tc
@@ -109,6 +114,48 @@ class TestPlanStructure:
         assert "TC[(x) -> (y)]" in text       # the pretty-printed formula
         assert "Closure[TC, k=1]" in text     # the plan tree
         assert "Scan E" in text
+
+
+def _closure_join():
+    """A small plan tree, built afresh on every call."""
+    closure = Closure(RelationScan("E", ("x", "z")), 1, False)
+    return Join(Shared(closure), RelationScan("E", ("z", "y")))
+
+
+class TestPlanHash:
+    """Plan nodes cache their structural hash; equality stays structural."""
+
+    def test_equal_nodes_built_separately_hash_equal(self):
+        first, second = _closure_join(), _closure_join()
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert hash(first) == hash(second)  # cached on both now
+        assert {first: "memo"}[second] == "memo"
+
+    def test_the_cached_hash_is_the_structural_hash(self):
+        node = _closure_join()
+        fields = tuple(getattr(node, field.name)
+                       for field in dataclasses.fields(node))
+        assert hash(node) == hash(fields)
+        assert node._hash == hash(fields)  # kept for the next lookup
+
+    def test_replace_gives_the_new_node_its_own_hash(self):
+        node = _closure_join()
+        hash(node)
+        other = dataclasses.replace(node, right=RelationScan("E", ("z", "w")))
+        rebuilt = Join(node.left, RelationScan("E", ("z", "w")))
+        assert other != node and other == rebuilt
+        assert hash(other) == hash(rebuilt)
+        assert hash(other) == hash((other.left, other.right))
+
+    def test_copies_hash_afresh(self):
+        """String hashes differ between processes, so a pickled node must
+        not carry its cached hash along."""
+        node = _closure_join()
+        hash(node)
+        for clone in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+            assert "_hash" not in vars(clone)
+            assert clone == node and hash(clone) == hash(node)
 
 
 class TestPlanSemantics:

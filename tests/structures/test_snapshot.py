@@ -12,18 +12,24 @@ The load-bearing properties:
   that is not JSON, truncated payloads, non-monotone CSR offsets,
   out-of-universe targets — raises the typed
   :class:`~repro.core.errors.SnapshotError`, never a stack blow-up or a
-  silently wrong structure.
+  silently wrong structure;
+* a file with one byte changed anywhere either raises ``SnapshotError``
+  or loads and answers ``tc`` on the columnar walker, and a changed byte
+  inside the checksummed payload always raises.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import InvalidDatabaseError
+from repro.logic.eval import ModelChecker
+from repro.logic.queries import CANONICAL_QUERIES
 from repro.structures import (
     Snapshot,
     SnapshotError,
@@ -361,6 +367,70 @@ def test_snapshot_info_reports_shape(tmp_path):
         assert info["relations"]["A"]["encoding"] == "bitset"
         assert "max_out_degree" in info["relations"]["E"]["stats"]
         assert info["file_bytes"] == path.stat().st_size
+
+
+# ---------------------------------------------------- byte-mutation fuzz
+
+#: The structures the hand-written corrupt cases start from.
+FUZZ_STRUCTURES = {
+    "graph-6": lambda: random_graph(6, edge_probability=0.5, seed=1),
+    "alternating-6": lambda: random_alternating_graph(6, seed=2),
+    "one-edge-3": lambda: graph_structure(3, [(0, 1)]),
+    "alternating-5": lambda: random_alternating_graph(5, seed=4),
+}
+
+
+def _mutants(raw: bytes, rng: random.Random, count: int):
+    """``count`` copies of ``raw``, each with one byte XORed by a nonzero
+    mask, as ``(position, mutant)``.  Half the positions are drawn from
+    the payload, where the packed relations are."""
+    base = _payload_base(raw)
+    for _ in range(count):
+        low = 0 if rng.random() < 0.5 else base
+        position = rng.randrange(low, len(raw))
+        mutant = bytearray(raw)
+        mutant[position] ^= rng.randrange(1, 256)
+        yield position, bytes(mutant)
+
+
+def _load_bytes(raw: bytes, path):
+    """Load ``raw`` through a file that is gone again afterwards."""
+    path.write_bytes(raw)
+    try:
+        return load_structure(path)
+    finally:
+        path.unlink()
+
+
+@pytest.mark.parametrize("budget", [500, pytest.param(20000,
+                                                     marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", sorted(FUZZ_STRUCTURES))
+def test_byte_mutants_raise_snapshot_error_or_answer_tc(tmp_path, name,
+                                                        budget):
+    """Each mutant runs on the checksummed file and on a copy whose header
+    has no checksum, so the structural checks meet corrupt payloads."""
+    path = tmp_path / "seed.snap"
+    header = save_snapshot(FUZZ_STRUCTURES[name](), path)
+    checksummed = path.read_bytes()
+    base = _payload_base(checksummed)
+    covered = range(base, base + header["checksum"]["payload_bytes"])
+    tc = CANONICAL_QUERIES["tc"].formula()
+    rng = random.Random(f"{name}/{budget}")
+    for raw in (checksummed, _strip_checksum(checksummed)):
+        for number, (position, mutant) in enumerate(
+                _mutants(raw, rng, budget)):
+            if raw is checksummed and position in covered:
+                with pytest.raises(SnapshotError):
+                    _load_bytes(mutant, tmp_path / "mutant.snap")
+                continue
+            try:
+                structure = _load_bytes(mutant, tmp_path / "mutant.snap")
+            except SnapshotError:
+                continue
+            _, rows = ModelChecker(structure,
+                                   backend="columnar").defined_relation(tc)
+            assert all(0 <= value < structure.size
+                       for row in rows for value in row), (number, position)
 
 
 # --------------------------------------------------- atomic writes + CRC32
